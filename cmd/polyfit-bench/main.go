@@ -28,9 +28,8 @@
 //
 // The load section ends with a repeat-heavy sweep: Zipf(1.2)-skewed repeats
 // of the same range set against a result-cache-enabled server and an
-// uncached control, recording the achieved hit rate, cached-vs-uncached
-// latency quantiles, and how many queued queries were answered by batched
-// group sweeps (see internal/server cache.go and batcher.go).
+// uncached control, recording the achieved hit rate and cached-vs-uncached
+// latency quantiles (see internal/server cache.go).
 package main
 
 import (
@@ -87,12 +86,9 @@ type LoadPoint struct {
 	P99us      float64 `json:"p99_us"`
 	ShedRate   float64 `json:"shed_rate"` // shed / requests
 
-	// Repeat-heavy sweep extras (zero unless the point ran against a
-	// cache-enabled server): result-cache hit rate over the window and the
-	// number of queries answered by batched group sweeps while queued.
-	CacheHitRate   float64 `json:"cache_hit_rate,omitempty"`
-	BatchedQueries int64   `json:"batched_queries,omitempty"`
-	BatchedGroups  int64   `json:"batched_groups,omitempty"`
+	// Repeat-heavy sweep extra (zero unless the point ran against a
+	// cache-enabled server): result-cache hit rate over the window.
+	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
 
 	// Cluster sweep extras (zero unless the point ran through the
 	// replication router): replica count behind the router, hedge counters
@@ -794,9 +790,8 @@ func runClusterLoad(keys []float64, qs []data.RangeQuery, dur time.Duration) []L
 // ranges through a Zipf(1.2) skew — the head ranges repeat constantly, the
 // tail barely at all, the access pattern result caching is for — against a
 // cache-enabled server and an otherwise identical uncached control. The
-// paired rows pin the cache's effect on p50/p99 and throughput, the hit
-// rate the skew actually achieves, and how many queued queries flowed
-// through batched group sweeps instead of waiting for solo slots.
+// paired rows pin the cache's effect on p50/p99 and throughput and the hit
+// rate the skew actually achieves.
 func runRepeatLoad(keys []float64, qs []data.RangeQuery, dur time.Duration) []LoadPoint {
 	bodies := make([][]byte, len(qs))
 	for i, q := range qs {
@@ -813,8 +808,7 @@ func runRepeatLoad(keys []float64, qs []data.RangeQuery, dur time.Duration) []Lo
 		{"load/zipf_cached", 32 << 20},
 	} {
 		// Queue depth 32 (vs 2×GOMAXPROCS in the main sweep) so the
-		// contended row below can form real groups: batched admission turns
-		// that depth into amortised sweeps instead of serialized waits.
+		// contended row below queues point queries instead of shedding them.
 		srv, err := server.NewDurable(server.Config{
 			MaxConcurrentQueries: procs,
 			MaxQueuedQueries:     32,
@@ -851,21 +845,17 @@ func runRepeatLoad(keys []float64, qs []data.RangeQuery, dur time.Duration) []Lo
 			if lookups := (after.CacheHits + after.CacheMisses) - (before.CacheHits + before.CacheMisses); lookups > 0 {
 				p.CacheHitRate = float64(after.CacheHits-before.CacheHits) / float64(lookups)
 			}
-			p.BatchedQueries = after.BatchedQueries - before.BatchedQueries
-			p.BatchedGroups = after.BatchedGroups - before.BatchedGroups
 			points = append(points, p)
-			fmt.Printf("%-32s %10.0f q/s  p50 %8.1fµs  p99 %8.1fµs  shed %5.1f%%  hit %5.1f%%  batched %d/%d\n",
-				p.Name, p.Throughput, p.P50us, p.P99us, 100*p.ShedRate, 100*p.CacheHitRate,
-				p.BatchedQueries, p.BatchedGroups)
+			fmt.Printf("%-32s %10.0f q/s  p50 %8.1fµs  p99 %8.1fµs  shed %5.1f%%  hit %5.1f%%\n",
+				p.Name, p.Throughput, p.P50us, p.P99us, 100*p.ShedRate, 100*p.CacheHitRate)
 		}
 
-		// Contended row: two background clients stream heavy batch requests
-		// that occupy the execution slots, so the zipf point queries actually
-		// pile up in the admission queue — the regime batched admission is
-		// for. batched_queries/batched_groups record how many rode a group
-		// sweep (and how big the groups got) instead of waiting for solo
-		// slots; distinct-range misses are what batch, repeats still coalesce
-		// or hit the cache above the queue.
+		// Contended row, an admission-contention probe: two background
+		// clients stream heavy batch requests that occupy the execution
+		// slots, so the zipf point queries that miss the query table wait
+		// in the admission queue behind them. Repeats still coalesce or hit
+		// the cache above the queue; the row shows what queueing costs the
+		// rest in throughput, latency and shed rate.
 		var heavy bytes.Buffer
 		heavy.WriteString(`{"ranges":[`)
 		for i := 0; i < 1<<14; i++ {
@@ -909,12 +899,9 @@ func runRepeatLoad(keys []float64, qs []data.RangeQuery, dur time.Duration) []Lo
 		if lookups := (after.CacheHits + after.CacheMisses) - (before.CacheHits + before.CacheMisses); lookups > 0 {
 			p.CacheHitRate = float64(after.CacheHits-before.CacheHits) / float64(lookups)
 		}
-		p.BatchedQueries = after.BatchedQueries - before.BatchedQueries
-		p.BatchedGroups = after.BatchedGroups - before.BatchedGroups
 		points = append(points, p)
-		fmt.Printf("%-32s %10.0f q/s  p50 %8.1fµs  p99 %8.1fµs  shed %5.1f%%  hit %5.1f%%  batched %d/%d\n",
-			p.Name, p.Throughput, p.P50us, p.P99us, 100*p.ShedRate, 100*p.CacheHitRate,
-			p.BatchedQueries, p.BatchedGroups)
+		fmt.Printf("%-32s %10.0f q/s  p50 %8.1fµs  p99 %8.1fµs  shed %5.1f%%  hit %5.1f%%\n",
+			p.Name, p.Throughput, p.P50us, p.P99us, 100*p.ShedRate, 100*p.CacheHitRate)
 		close(stopBatch)
 		batchWG.Wait()
 

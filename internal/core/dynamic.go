@@ -432,9 +432,9 @@ func (d *Dynamic1D) Rebuilds() int {
 
 // Generation returns the mutation counter: it increases on every
 // successful Insert and Rebuild, so two queries observing the same
-// generation saw the same data. The serving layer keys its singleflight
-// coalescing (and any future result cache) on it — staleness is
-// structurally impossible because any mutation moves the generation.
+// generation saw the same data. The serving layer keys its query table
+// (coalescing and result cache) on it — staleness is structurally
+// impossible because any mutation moves the generation.
 func (d *Dynamic1D) Generation() uint64 { return d.gen.Load() }
 
 // Base exposes the current static index (for stats/inspection). The

@@ -1,24 +1,47 @@
 package server
 
 import (
+	"context"
 	"math"
+	"net/http"
 	"sync"
 	"sync/atomic"
+
+	polyfit "repro"
 )
 
-// Result cache (cache.go): completed point and relative-error queries are
-// kept as their full marshalled response bodies — certified Bound
-// included — and repeated queries are served straight from memory with
-// zero index traversal. The cache key is the coalescer's flightKey:
-// (entry pointer, data generation, range, eps_rel). That makes
-// invalidation structural rather than temporal:
+// Query table (cache.go): one sharded map, keyed by flightKey, that is
+// both the singleflight for in-flight point queries and the result cache
+// for finished ones. A PolyFit answer and its certified Bound depend only
+// on (index instance, data generation, range, eps_rel), so an answer still
+// being computed can be shared and a finished one can be kept — the same
+// entry serves both, in turn:
+//
+//   - The first arrival for a key inserts an in-flight entry and leads it:
+//     it takes an admission slot and executes (see admission.go).
+//   - Identical arrivals while it is in flight wait on the entry, each
+//     under its own context (a follower's deadline is its own, never the
+//     leader's), and repeat the leader's byte-identical response without
+//     consuming slots. They count as coalesced and as cache misses.
+//   - When the leader finishes, a 200 body that fits the byte budget stays
+//     in the map and joins its shard's LRU list: later arrivals are cache
+//     hits, served with zero index traversal. Any other outcome — errors,
+//     sheds, timeouts, oversized bodies — leaves the map, so the next
+//     arrival re-executes.
+//
+// With Config.CacheBytes == 0 the budget is zero, every finished entry
+// leaves the map, and the table is plain singleflight.
+//
+// Invalidation is structural rather than temporal:
 //
 //   - A successful insert or rebuild bumps the index's generation, so
 //     every later arrival computes a different key and misses; the old
 //     generation's bodies become unreachable and age out of the LRU.
 //   - A restore (or delete + recreate) registers a new *entry, changing
-//     the pointer component the same way (delete and restore also purge
-//     eagerly, so dead entries don't squat on the byte budget).
+//     the pointer component the same way. Delete, restore and a follower's
+//     re-join also purge the retired entry eagerly — in-flight entries
+//     included — so dead indexes don't squat on the byte budget, and a
+//     leader that finishes late never files its body back in.
 //   - Static indexes never mutate: generation is the constant 0 and their
 //     answers cache until evicted, which is exactly right.
 //
@@ -28,44 +51,73 @@ import (
 // the cached generation, never a staler one. Serving a stale answer is
 // impossible by construction, not by timeout tuning.
 //
-// The store is a sharded LRU bounded by a byte budget (Config.CacheBytes,
-// default 0 = disabled): each shard owns a hash slice of the key space
-// under its own mutex, so concurrent hits on different keys don't contend
-// on one lock. Only HTTP 200 bodies are cached — errors, sheds, and
-// timeouts always re-execute.
+// Each shard owns a hash slice of the key space under its own mutex, so
+// concurrent queries on different keys don't contend on one lock.
 
-// cacheShardCount is the fixed number of LRU shards. 16 keeps lock
+// tableShardCount is the fixed number of table shards. 16 keeps lock
 // contention negligible at the serving layer's admission-bounded
-// concurrency while wasting at most 15 partially-filled tails.
-const cacheShardCount = 16
+// concurrency while wasting at most 15 partially-filled budget tails.
+const tableShardCount = 16
 
 // cacheItemOverhead approximates the per-item bookkeeping bytes beyond
 // the body itself (key, list pointers, map bucket share), charged against
 // the byte budget so cache_bytes tracks real memory, not just payload.
 const cacheItemOverhead = 160
 
-// cacheItem is one cached response in a shard's LRU list.
-type cacheItem struct {
-	key        flightKey
-	body       []byte
-	size       int64
-	prev, next *cacheItem
+// flightKey identifies one logical query, for coalescing and caching
+// alike. The entry pointer (not the name) scopes it to one registered
+// index instance — a restore under the same name changes the pointer —
+// and gen is the index's mutation counter, so any successful insert or
+// rebuild moves later arrivals onto a fresh key.
+type flightKey struct {
+	e      *entry
+	gen    uint64
+	lo, hi float64
+	epsRel float64
 }
 
-// cacheShard is one LRU partition: a map for lookup and an intrusive
-// doubly-linked list ordered most- to least-recently used.
-type cacheShard struct {
+// generationOf reads the entry's data generation for the flight key.
+// Static indexes are immutable: every read observes the same data, so a
+// constant 0 keys them forever, which is exactly right.
+func generationOf(e *entry) uint64 {
+	if g, ok := e.ix.(polyfit.Generational); ok {
+		return g.Generation()
+	}
+	return 0
+}
+
+// queryEntry is one key's slot in the table. The leader writes status and
+// body once before closing done: followers read them after done closes,
+// cache hits after finding the entry cached under the shard's mutex.
+// cached, size, prev and next are the entry's LRU state and belong to its
+// shard's mutex.
+type queryEntry struct {
+	key    flightKey
+	done   chan struct{}
+	status int
+	body   []byte
+
+	cached     bool  // finished and linked into the shard's LRU list
+	size       int64 // bytes charged against the budget while cached
+	prev, next *queryEntry
+}
+
+// tableShard is one partition of the table: a map holding in-flight and
+// cached entries, and an intrusive doubly-linked list of the cached ones
+// ordered most- to least-recently used.
+type tableShard struct {
 	mu    sync.Mutex
-	items map[flightKey]*cacheItem // guarded by mu
-	head  *cacheItem               // guarded by mu; most recently used
-	tail  *cacheItem               // guarded by mu; least recently used, next eviction victim
-	bytes int64                    // guarded by mu
+	items map[flightKey]*queryEntry // guarded by mu
+	head  *queryEntry               // guarded by mu; most recently used
+	tail  *queryEntry               // guarded by mu; least recently used, next eviction victim
+	bytes int64                     // guarded by mu
 }
 
-// resultCache is the server-wide bounded response cache.
-type resultCache struct {
+// queryTable is the server-wide query table.
+type queryTable struct {
+	enabled  bool  // Config.CacheBytes > 0: finished answers are kept and hits/misses counted
 	shardCap int64 // byte budget per shard
-	shards   [cacheShardCount]cacheShard
+	shards   [tableShardCount]tableShard
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -73,27 +125,28 @@ type resultCache struct {
 	bytes     atomic.Int64 // current total across shards
 }
 
-// newResultCache returns a cache bounded to roughly capacity bytes
-// (bodies + per-item overhead), split evenly across the shards.
-func newResultCache(capacity int64) *resultCache {
-	c := &resultCache{shardCap: capacity / cacheShardCount}
-	for i := range c.shards {
-		sh := &c.shards[i]
+// newQueryTable returns a table that caches roughly capacity bytes
+// (bodies + per-item overhead), split evenly across the shards; a
+// capacity of 0 keeps nothing once a flight ends.
+func newQueryTable(capacity int64) *queryTable {
+	t := &queryTable{enabled: capacity > 0, shardCap: max(capacity, 0) / tableShardCount}
+	for i := range t.shards {
+		sh := &t.shards[i]
 		sh.mu.Lock()
-		sh.items = make(map[flightKey]*cacheItem)
+		sh.items = make(map[flightKey]*queryEntry)
 		sh.mu.Unlock()
 	}
-	return c
+	return t
 }
 
 // capacity reports the total byte budget.
-func (c *resultCache) capacity() int64 { return c.shardCap * cacheShardCount }
+func (t *queryTable) capacity() int64 { return t.shardCap * tableShardCount }
 
 // shardOf hashes the key onto a shard. The entry pointer is deliberately
 // left out (pointers don't hash portably without unsafe); generation and
 // range bits alone spread keys well, and correctness never depends on the
 // shard choice — only key equality does.
-func (c *resultCache) shardOf(key flightKey) *cacheShard {
+func (t *queryTable) shardOf(key flightKey) *tableShard {
 	h := uint64(14695981039346656037) // FNV-1a offset basis
 	for _, v := range [4]uint64{
 		key.gen,
@@ -104,130 +157,172 @@ func (c *resultCache) shardOf(key flightKey) *cacheShard {
 		h ^= v
 		h *= 1099511628211 // FNV-1a prime
 	}
-	return &c.shards[h%cacheShardCount]
+	return &t.shards[h%tableShardCount]
 }
 
-// get returns the cached body for key, marking it most recently used.
-// The returned slice is shared and must not be mutated (response bodies
-// never are — writeRaw only reads).
-func (c *resultCache) get(key flightKey) ([]byte, bool) {
-	sh := c.shardOf(key)
+// do answers one query for key: from the cached entry (a hit), from an
+// identical in-flight query (followed), or by running fn as the leader of
+// a new entry. A follower whose ctx dies first gets ctx's error and no
+// outcome; the flight itself stays open for patient followers. waiting is
+// a gauge of followers currently blocked. The returned body is shared and
+// must not be mutated (writeRaw only reads).
+func (t *queryTable) do(ctx context.Context, key flightKey, waiting *atomic.Int64, fn func() (int, []byte)) (status int, body []byte, followed bool, err error) {
+	sh := t.shardOf(key)
 	sh.mu.Lock()
-	it, ok := sh.items[key]
-	if ok {
-		sh.moveToFront(it)
+	en, found := sh.items[key]
+	hit := found && en.cached
+	if hit {
+		sh.moveToFront(en)
+	} else if !found {
+		en = &queryEntry{key: key, done: make(chan struct{})}
+		sh.items[key] = en
 	}
 	sh.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
+
+	if t.enabled {
+		if hit {
+			t.hits.Add(1)
+			key.e.cacheHits.Add(1)
+		} else {
+			t.misses.Add(1)
+			key.e.cacheMisses.Add(1)
+		}
 	}
-	c.hits.Add(1)
-	return it.body, true
+	if hit {
+		return en.status, en.body, false, nil
+	}
+	if found {
+		waiting.Add(1)
+		defer waiting.Add(-1)
+		select {
+		case <-en.done:
+			return en.status, en.body, true, nil
+		case <-ctx.Done():
+			return 0, nil, true, ctx.Err()
+		}
+	}
+
+	// The entry MUST resolve even if fn panics (the panic then continues
+	// up to the ServeHTTP recovery middleware): leaving it in the map with
+	// done never closed would hang every later identical query.
+	defer t.finish(sh, en)
+	en.status, en.body = fn()
+	return en.status, en.body, false, nil
 }
 
-// put stores a 200 body under key, evicting least-recently-used items
-// until the shard fits its budget again. Bodies too large for a whole
-// shard are not cached at all. The entry's cache-byte gauge moves with
-// every insert and eviction so per-index stats stay accurate.
-func (c *resultCache) put(key flightKey, body []byte) {
-	size := int64(len(body)) + cacheItemOverhead
-	if size > c.shardCap {
+// finish resolves a leader's entry. A 200 body that fits the shard budget
+// is linked into the LRU, evicting least-recently-used entries until the
+// shard fits again; any other outcome removes the entry. Either happens
+// only while the entry is still the map's entry for its key — one purged
+// in flight is already gone and stays gone — and a retired index's entry
+// is never linked, even one its leader created after the purge ran.
+func (t *queryTable) finish(sh *tableShard, en *queryEntry) {
+	if en.status == 0 { // fn panicked before producing an outcome
+		en.status, en.body = jsonBody(http.StatusInternalServerError,
+			errorResponse{Error: "internal error (panic recovered)"})
+	}
+	size := int64(len(en.body)) + cacheItemOverhead
+	fits := en.status == http.StatusOK && size <= t.shardCap
+	kept := false
+	var evicted []*queryEntry
+	sh.mu.Lock()
+	if sh.items[en.key] == en {
+		if fits && !en.key.e.retired.Load() {
+			kept = true
+			en.cached, en.size = true, size
+			sh.pushFront(en)
+			sh.bytes += size
+			for sh.bytes > t.shardCap && sh.tail != nil {
+				victim := sh.tail
+				sh.unlink(victim)
+				delete(sh.items, victim.key)
+				sh.bytes -= victim.size
+				evicted = append(evicted, victim)
+			}
+		} else {
+			delete(sh.items, en.key)
+		}
+	}
+	sh.mu.Unlock()
+	close(en.done)
+
+	if !kept {
 		return
 	}
-	sh := c.shardOf(key)
-	var freed []*cacheItem
-	sh.mu.Lock()
-	if old, ok := sh.items[key]; ok {
-		// A follower that timed out and retried after the generation moved
-		// back, or a re-population race: replace in place.
-		sh.unlink(old)
-		delete(sh.items, key)
-		sh.bytes -= old.size
-		freed = append(freed, old)
-	}
-	it := &cacheItem{key: key, body: body, size: size}
-	sh.items[key] = it
-	sh.pushFront(it)
-	sh.bytes += size
-	for sh.bytes > c.shardCap && sh.tail != nil {
-		victim := sh.tail
-		sh.unlink(victim)
-		delete(sh.items, victim.key)
-		sh.bytes -= victim.size
-		freed = append(freed, victim)
-		c.evictions.Add(1)
-	}
-	sh.mu.Unlock()
 	delta := size
-	for _, v := range freed {
+	for _, v := range evicted {
 		delta -= v.size
 		v.key.e.cacheBytes.Add(-v.size)
 	}
-	c.bytes.Add(delta)
-	key.e.cacheBytes.Add(size)
+	t.evictions.Add(int64(len(evicted)))
+	t.bytes.Add(delta)
+	en.key.e.cacheBytes.Add(size)
 }
 
-// purgeEntry drops every cached body belonging to e — called when an
-// index is deleted or replaced by a restore, so retired entries release
-// their share of the byte budget immediately instead of aging out.
-func (c *resultCache) purgeEntry(e *entry) {
+// purgeEntry retires e and drops every entry belonging to it, cached or
+// in flight — called when an index is deleted or replaced, so retired
+// entries release their share of the byte budget immediately instead of
+// aging out, and their late leaders find nothing to file a body under.
+func (t *queryTable) purgeEntry(e *entry) {
+	e.retired.Store(true) // before any shard lock: finish checks it under one
 	var total int64
-	for i := range c.shards {
-		sh := &c.shards[i]
+	for i := range t.shards {
+		sh := &t.shards[i]
 		sh.mu.Lock()
-		for key, it := range sh.items {
+		for key, en := range sh.items {
 			if key.e != e {
 				continue
 			}
-			sh.unlink(it)
 			delete(sh.items, key)
-			sh.bytes -= it.size
-			total += it.size
+			if en.cached {
+				sh.unlink(en)
+				sh.bytes -= en.size
+				total += en.size
+			}
 		}
 		sh.mu.Unlock()
 	}
 	if total != 0 {
-		c.bytes.Add(-total)
+		t.bytes.Add(-total)
 		e.cacheBytes.Add(-total)
 	}
 }
 
 // --- intrusive LRU list ----------------------------------------------------
 
-// pushFront links it as most recently used; callers hold mu.
-func (sh *cacheShard) pushFront(it *cacheItem) {
-	it.prev = nil
-	it.next = sh.head
+// pushFront links en as most recently used; callers hold mu.
+func (sh *tableShard) pushFront(en *queryEntry) {
+	en.prev = nil
+	en.next = sh.head
 	if sh.head != nil {
-		sh.head.prev = it
+		sh.head.prev = en
 	}
-	sh.head = it
+	sh.head = en
 	if sh.tail == nil {
-		sh.tail = it
+		sh.tail = en
 	}
 }
 
-// unlink removes it from the LRU list; callers hold mu.
-func (sh *cacheShard) unlink(it *cacheItem) {
-	if it.prev != nil {
-		it.prev.next = it.next
+// unlink removes en from the LRU list; callers hold mu.
+func (sh *tableShard) unlink(en *queryEntry) {
+	if en.prev != nil {
+		en.prev.next = en.next
 	} else {
-		sh.head = it.next
+		sh.head = en.next
 	}
-	if it.next != nil {
-		it.next.prev = it.prev
+	if en.next != nil {
+		en.next.prev = en.prev
 	} else {
-		sh.tail = it.prev
+		sh.tail = en.prev
 	}
-	it.prev, it.next = nil, nil
+	en.prev, en.next = nil, nil
 }
 
-// moveToFront marks it most recently used; callers hold mu.
-func (sh *cacheShard) moveToFront(it *cacheItem) {
-	if sh.head == it {
+// moveToFront marks en most recently used; callers hold mu.
+func (sh *tableShard) moveToFront(en *queryEntry) {
+	if sh.head == en {
 		return
 	}
-	sh.unlink(it)
-	sh.pushFront(it)
+	sh.unlink(en)
+	sh.pushFront(en)
 }

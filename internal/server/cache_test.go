@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -227,5 +229,101 @@ func TestCacheChurnMatchesUncachedControl(t *testing.T) {
 	}
 	if got, cap := cached.cache.bytes.Load(), cached.cache.capacity(); got > cap {
 		t.Errorf("cache_bytes %d exceeds capacity %d after churn", got, cap)
+	}
+}
+
+// TestLateLeaderCachesNothingForRetiredIndex is the regression test for a
+// retired index's cache line coming back: a query leader that finishes
+// after its index was deleted, or replaced by a restore, must not file
+// its body into the cache, so cache_bytes returns to 0 and stays there.
+func TestLateLeaderCachesNothingForRetiredIndex(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		retire func(t *testing.T, ts *httptest.Server, blob []byte)
+	}{
+		{"delete", func(t *testing.T, ts *httptest.Server, _ []byte) {
+			req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/indexes/ix", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := ts.Client().Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("delete: status %d", resp.StatusCode)
+			}
+		}},
+		{"restore", func(t *testing.T, ts *httptest.Server, blob []byte) {
+			req := RestoreRequest{Blob: base64.StdEncoding.EncodeToString(blob)}
+			if resp := post(t, ts, "/v1/indexes/ix/restore", req, nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("restore: status %d", resp.StatusCode)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := cachedServer(t, 1<<20, 512)
+			blob := mustGetRaw(t, ts, "/v1/indexes/ix/marshal")
+			entered, release := holdQueries(t)
+
+			var wg sync.WaitGroup
+			var code int
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := ts.Client().Post(ts.URL+"/v1/indexes/ix/query", "application/json",
+					strings.NewReader(`{"lo": 10, "hi": 300}`))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				code = resp.StatusCode
+			}()
+			<-entered // the leader holds its entry, not yet executed
+			tc.retire(t, ts, blob)
+			close(release)
+			wg.Wait()
+			if code != http.StatusOK {
+				t.Fatalf("held query: status %d, want 200", code)
+			}
+
+			var stats ServerStats
+			get(t, ts, "/v1/stats", &stats)
+			if stats.CacheBytes != 0 || s.cache.bytes.Load() != 0 {
+				t.Errorf("cache_bytes = %d (gauge %d) after the index was retired, want 0",
+					stats.CacheBytes, s.cache.bytes.Load())
+			}
+		})
+	}
+}
+
+// TestQueryTableNeverCachesRetiredEntry covers the narrower window of the
+// same bug: a request that looked its index up just before a delete
+// reaches the query table only after the purge, and leads a fresh entry.
+// Its answer is served but never cached.
+func TestQueryTableNeverCachesRetiredEntry(t *testing.T) {
+	tab := newQueryTable(1 << 20)
+	e := &entry{}
+	tab.purgeEntry(e)
+	key := flightKey{e: e, lo: 10, hi: 300}
+	runs := 0
+	answer := func() (int, []byte) {
+		runs++
+		return http.StatusOK, []byte(`{"value":1}`)
+	}
+	var waiting atomic.Int64
+	for i := 0; i < 2; i++ {
+		st, _, _, err := tab.do(context.Background(), key, &waiting, answer)
+		if err != nil || st != http.StatusOK {
+			t.Fatalf("query %d: status %d, err %v", i, st, err)
+		}
+	}
+	if runs != 2 {
+		t.Errorf("retired entry's answer was served from the cache: %d executions, want 2", runs)
+	}
+	if tab.bytes.Load() != 0 || e.cacheBytes.Load() != 0 {
+		t.Errorf("cache_bytes = %d (entry %d) for a retired index, want 0", tab.bytes.Load(), e.cacheBytes.Load())
 	}
 }

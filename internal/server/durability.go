@@ -152,9 +152,7 @@ func NewDurable(cfg Config) (*Server, error) {
 		maxQueue = 4 * maxConc
 	}
 	s.adm = newAdmission(maxConc, maxQueue)
-	if cfg.CacheBytes > 0 {
-		s.cache = newResultCache(cfg.CacheBytes)
-	}
+	s.cache = newQueryTable(cfg.CacheBytes)
 	if cfg.DataDir == "" {
 		if cfg.Join != "" {
 			s.follower = newFollower(s, cfg)
@@ -739,7 +737,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.indexes[name] = e
 	s.mu.Unlock()
-	if old != nil && s.cache != nil {
+	if old != nil {
 		// The replaced entry's cached bodies are unreachable (the key holds
 		// the old pointer); release their bytes eagerly.
 		s.cache.purgeEntry(old)
@@ -901,9 +899,9 @@ type ServerStats struct {
 	// TimedOutQueries counts genuine deadline expiries (504);
 	// CanceledQueries counts client disconnects (499) — kept apart so
 	// disconnect storms don't masquerade as serving latency.
-	// ExecutedQueries counts actual index traversals (solo queries, batch
-	// requests, and group sweeps each count one): cache hits and coalesced
-	// followers never move it.
+	// ExecutedQueries counts actual index traversals (each point query and
+	// each batch request counts one): cache hits and coalesced followers
+	// never move it.
 	InFlight         int64 `json:"in_flight"`
 	QueuedQueries    int64 `json:"queued_queries"`
 	ShedQueries      int64 `json:"shed_queries"`
@@ -914,10 +912,10 @@ type ServerStats struct {
 	ExecutedQueries  int64 `json:"executed_queries"`
 	PanicsRecovered  int64 `json:"panics_recovered"`
 
-	// Batched admission (see batcher.go): groups of queued point queries
-	// executed as one QueryBatch sweep, and how many queries those sweeps
-	// answered.
-	BatchedGroups  int64 `json:"batched_groups"`
+	// BatchedQueries is always 0. It counted point queries answered by a
+	// shared sweep of the admission queue, a path the server no longer
+	// has; the field stays because stats readers such as perfbench still
+	// decode it.
 	BatchedQueries int64 `json:"batched_queries"`
 
 	// Result cache (see cache.go; all zero unless Config.CacheBytes > 0).
@@ -991,8 +989,6 @@ func (s *Server) handleServerStats(w http.ResponseWriter, r *http.Request) {
 		TimedOutQueries:    s.timedOut.Load(),
 		CanceledQueries:    s.canceled.Load(),
 		ExecutedQueries:    s.executed.Load(),
-		BatchedGroups:      s.batchedGroups.Load(),
-		BatchedQueries:     s.batchedQueries.Load(),
 		PanicsRecovered:    s.panics.Load(),
 		DegradedIndexes:    degradedIndexes,
 		PersistErrors:      s.persistErrors.Load(),
@@ -1018,7 +1014,7 @@ func (s *Server) handleServerStats(w http.ResponseWriter, r *http.Request) {
 		}
 		st.PerIndexShards[sx.name] = rows
 	}
-	if s.cache != nil {
+	if s.cache.enabled {
 		st.CacheEnabled = true
 		st.CacheCapacity = s.cache.capacity()
 		st.CacheBytes = s.cache.bytes.Load()

@@ -268,7 +268,7 @@ func (f *follower) resync(ctx context.Context, name string) error {
 	old := f.s.indexes[name]
 	f.s.indexes[name] = e
 	f.s.mu.Unlock()
-	if old != nil && f.s.cache != nil {
+	if old != nil {
 		f.s.cache.purgeEntry(old)
 	}
 	f.s.adminMu.Unlock()
@@ -290,7 +290,7 @@ func (f *follower) removeLocal(name string) {
 	e, ok := f.s.indexes[name]
 	delete(f.s.indexes, name)
 	f.s.mu.Unlock()
-	if ok && f.s.cache != nil {
+	if ok {
 		f.s.cache.purgeEntry(e)
 	}
 	f.s.adminMu.Unlock()

@@ -22,7 +22,14 @@ import (
 // and a small COUNT index, for tests that saturate the query path.
 func overloadServer(t *testing.T, maxConc, maxQueue int) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := NewDurable(Config{MaxConcurrentQueries: maxConc, MaxQueuedQueries: maxQueue})
+	return configServer(t, Config{MaxConcurrentQueries: maxConc, MaxQueuedQueries: maxQueue})
+}
+
+// configServer builds an in-memory server from cfg holding the same
+// static COUNT index "ix" as overloadServer.
+func configServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	s, err := NewDurable(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,55 +105,90 @@ func TestOverloadShedsFastWith429(t *testing.T) {
 	}
 }
 
+// TestIdenticalQueriesCoalesce holds a leader and piles identical queries
+// behind it: they wait on its flight without taking admission slots and
+// repeat its bytes. With the cache on, the followers are still misses,
+// and the finished flight becomes the cached entry the next query hits.
 func TestIdenticalQueriesCoalesce(t *testing.T) {
-	s, ts := overloadServer(t, 8, 8)
-	entered, release := holdQueries(t)
+	for _, tc := range []struct {
+		name       string
+		cacheBytes int64
+	}{
+		{"cache off", 0},
+		{"cache on", 1 << 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := configServer(t, Config{MaxConcurrentQueries: 8, MaxQueuedQueries: 8, CacheBytes: tc.cacheBytes})
+			entered, release := holdQueries(t)
 
-	const followers = 7
-	bodies := make([][]byte, followers+1)
-	codes := make([]int, followers+1)
-	var wg sync.WaitGroup
-	rawQuery := func(i int) {
-		defer wg.Done()
-		resp, err := ts.Client().Post(ts.URL+"/v1/indexes/ix/query", "application/json",
-			strings.NewReader(`{"lo": 10, "hi": 300}`))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer resp.Body.Close()
-		bodies[i], _ = io.ReadAll(resp.Body)
-		codes[i] = resp.StatusCode
-	}
-	wg.Add(1)
-	go rawQuery(0)
-	<-entered // the leader is executing; everyone after it must coalesce
-	for i := 1; i <= followers; i++ {
-		wg.Add(1)
-		go rawQuery(i)
-	}
-	waitFor(t, "followers waiting on the leader", func() bool {
-		return s.coalesceWait.Load() == followers
-	})
-	if got := s.adm.queued.Load(); got != 0 {
-		t.Errorf("followers consumed admission queue slots: queued = %d, want 0", got)
-	}
-	close(release)
-	wg.Wait()
+			const followers = 7
+			bodies := make([][]byte, followers+1)
+			codes := make([]int, followers+1)
+			var wg sync.WaitGroup
+			rawQuery := func(i int) {
+				defer wg.Done()
+				resp, err := ts.Client().Post(ts.URL+"/v1/indexes/ix/query", "application/json",
+					strings.NewReader(`{"lo": 10, "hi": 300}`))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				bodies[i], _ = io.ReadAll(resp.Body)
+				codes[i] = resp.StatusCode
+			}
+			wg.Add(1)
+			go rawQuery(0)
+			<-entered // the leader is executing; everyone after it must coalesce
+			for i := 1; i <= followers; i++ {
+				wg.Add(1)
+				go rawQuery(i)
+			}
+			waitFor(t, "followers waiting on the leader", func() bool {
+				return s.coalesceWait.Load() == followers
+			})
+			if got := s.adm.queued.Load(); got != 0 {
+				t.Errorf("followers consumed admission queue slots: queued = %d, want 0", got)
+			}
+			close(release)
+			wg.Wait()
 
-	for i := range bodies {
-		if codes[i] != http.StatusOK {
-			t.Fatalf("query %d: status %d, want 200", i, codes[i])
-		}
-		if !bytes.Equal(bodies[i], bodies[0]) {
-			t.Fatalf("coalesced bodies differ: %q vs %q", bodies[i], bodies[0])
-		}
-	}
-	if got := s.coalesced.Load(); got != followers {
-		t.Errorf("coalesced counter = %d, want %d", got, followers)
-	}
-	if got := s.coalesceWait.Load(); got != 0 {
-		t.Errorf("coalesce_waiting gauge = %d after completion, want 0", got)
+			for i := range bodies {
+				if codes[i] != http.StatusOK {
+					t.Fatalf("query %d: status %d, want 200", i, codes[i])
+				}
+				if !bytes.Equal(bodies[i], bodies[0]) {
+					t.Fatalf("coalesced bodies differ: %q vs %q", bodies[i], bodies[0])
+				}
+			}
+			if got := s.coalesced.Load(); got != followers {
+				t.Errorf("coalesced counter = %d, want %d", got, followers)
+			}
+			if got := s.coalesceWait.Load(); got != 0 {
+				t.Errorf("coalesce_waiting gauge = %d after completion, want 0", got)
+			}
+			if tc.cacheBytes == 0 {
+				return
+			}
+
+			// Every query of the held flight missed: the leader and its
+			// followers alike, none of them a hit.
+			if hits, misses := s.cache.hits.Load(), s.cache.misses.Load(); hits != 0 || misses != followers+1 {
+				t.Errorf("flight counters = {hits:%d misses:%d}, want {0, %d}", hits, misses, followers+1)
+			}
+			// The finished flight is now the cached entry.
+			executed := s.executed.Load()
+			st, body := rawQueryBody(t, ts, "ix", 10, 300)
+			if st != http.StatusOK || !bytes.Equal(body, bodies[0]) {
+				t.Fatalf("post-flight query: status %d body %q, want 200 %q", st, body, bodies[0])
+			}
+			if got := s.cache.hits.Load(); got != 1 {
+				t.Errorf("post-flight cache_hits = %d, want 1", got)
+			}
+			if got := s.executed.Load(); got != executed {
+				t.Errorf("post-flight query traversed the index: executed_queries %d -> %d", executed, got)
+			}
+		})
 	}
 }
 
@@ -494,4 +536,144 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(500 * time.Microsecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// TestCoalescedFollowerHonorsOwnDeadline is the regression test for the
+// coalescing-deadline bug: a follower waiting on a slow leader used to
+// block on the flight's done channel with no context select, so its own
+// timeout_ms was silently ignored. It must answer 504 on its own
+// deadline while the leader keeps executing, and the coalesce_waiting
+// gauge must come back down.
+func TestCoalescedFollowerHonorsOwnDeadline(t *testing.T) {
+	s, ts := overloadServer(t, 8, 8)
+	entered, release := holdQueries(t)
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	var leaderCode int
+	go func() {
+		defer wg.Done()
+		resp := post(t, ts, "/v1/indexes/ix/query", QueryRequest{Lo: 10, Hi: 300}, nil)
+		leaderCode = resp.StatusCode
+	}()
+	<-entered // leader is executing, held by the hook
+
+	var e errorResponse
+	resp := post(t, ts, "/v1/indexes/ix/query", QueryRequest{Lo: 10, Hi: 300, TimeoutMS: 25}, &e)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("short-deadline follower: got %d (%s), want 504", resp.StatusCode, e.Error)
+	}
+	if got := s.timedOut.Load(); got != 1 {
+		t.Errorf("timed_out = %d, want 1", got)
+	}
+	waitFor(t, "coalesce_waiting back to zero", func() bool { return s.coalesceWait.Load() == 0 })
+
+	close(release)
+	wg.Wait()
+	if leaderCode != http.StatusOK {
+		t.Errorf("leader: got %d, want 200 (follower's deadline must not kill the flight)", leaderCode)
+	}
+}
+
+// TestDeadlineWhileQueuedAnswers504 pins the queued-arm of the deadline
+// contract: a query whose deadline expires while waiting for a slot
+// answers 504 and counts timed_out, not canceled.
+func TestDeadlineWhileQueuedAnswers504(t *testing.T) {
+	s, ts := overloadServer(t, 1, 4)
+	entered, release := holdQueries(t)
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		post(t, ts, "/v1/indexes/ix/query", QueryRequest{Lo: 0, Hi: 400}, nil)
+	}()
+	<-entered // slot held
+
+	var e errorResponse
+	resp := post(t, ts, "/v1/indexes/ix/query", QueryRequest{Lo: 1, Hi: 400, TimeoutMS: 25}, &e)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("queued query past deadline: got %d (%s), want 504", resp.StatusCode, e.Error)
+	}
+	if got, canc := s.timedOut.Load(), s.canceled.Load(); got != 1 || canc != 0 {
+		t.Errorf("counters = {timed_out:%d canceled:%d}, want {1, 0}", got, canc)
+	}
+	close(release)
+	wg.Wait()
+}
+
+// TestClientDisconnectCounts499 is the regression test for the
+// canceled-vs-deadline bug: a client hanging up used to be folded into
+// timed_out as a 504. It must instead count canceled_queries (499-style)
+// — tested both while queued and mid-execution.
+func TestClientDisconnectCounts499(t *testing.T) {
+	t.Run("while queued", func(t *testing.T) {
+		s, ts := overloadServer(t, 1, 4)
+		entered, release := holdQueries(t)
+		defer close(release)
+
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			post(t, ts, "/v1/indexes/ix/query", QueryRequest{Lo: 0, Hi: 400}, nil)
+		}()
+		<-entered // slot held: the next query will queue
+
+		ctx, cancel := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+			ts.URL+"/v1/indexes/ix/query", bytes.NewReader([]byte(`{"lo": 1, "hi": 400}`)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		errc := make(chan error, 1)
+		go func() {
+			_, derr := ts.Client().Do(req)
+			errc <- derr
+		}()
+		waitFor(t, "disconnecting query queued", func() bool { return s.adm.queued.Load() == 1 })
+		cancel() // client hangs up while queued
+		if derr := <-errc; derr == nil {
+			t.Fatal("canceled request unexpectedly completed")
+		}
+		waitFor(t, "canceled counter", func() bool { return s.canceled.Load() == 1 })
+		if got := s.timedOut.Load(); got != 0 {
+			t.Errorf("client disconnect inflated timed_out: %d, want 0", got)
+		}
+	})
+
+	t.Run("mid-execution", func(t *testing.T) {
+		s, ts := overloadServer(t, 4, 4)
+		// Park the executing query until its own request context dies — the
+		// context-aware hook makes "client hangs up mid-execution" exact:
+		// the index traversal provably starts after the disconnect landed.
+		executing := make(chan struct{})
+		testHookQueryDelayCtx = func(ctx context.Context) {
+			close(executing)
+			<-ctx.Done()
+		}
+		t.Cleanup(func() { testHookQueryDelayCtx = nil })
+
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+			ts.URL+"/v1/indexes/ix/query", bytes.NewReader([]byte(`{"lo": 0, "hi": 400}`)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		errc := make(chan error, 1)
+		go func() {
+			_, derr := ts.Client().Do(req)
+			errc <- derr
+		}()
+		<-executing // the query holds a slot, about to traverse
+		cancel()    // client hangs up; the hook releases once the server sees it
+		if derr := <-errc; derr == nil {
+			t.Fatal("canceled request unexpectedly completed")
+		}
+		waitFor(t, "canceled counter", func() bool { return s.canceled.Load() == 1 })
+		if got := s.timedOut.Load(); got != 0 {
+			t.Errorf("client disconnect inflated timed_out: %d, want 0", got)
+		}
+	})
 }

@@ -17,13 +17,15 @@
 // The server is also overload- and fault-safe: every query runs under a
 // deadline (per-request timeout_ms or the server default) and reports 504
 // when it expires; a bounded admission queue sheds excess queries with
-// 429 + Retry-After instead of queueing unboundedly; identical concurrent
-// queries coalesce onto one execution (see admission.go); request bodies
-// are capped per route (413); handler panics are recovered to a 500; and
-// Drain stops new work while in-flight requests finish. When the disk
-// goes bad, inserts degrade to acknowledged-but-not-durable (200 with
-// durable:false) rather than blocking or failing — the forced-snapshot
-// path persists them as soon as the disk heals (see durability.go).
+// 429 + Retry-After instead of queueing unboundedly (see admission.go);
+// identical concurrent queries coalesce onto one execution, whose answer
+// the result cache then keeps (one query table, see cache.go); request
+// bodies are capped per route (413); handler panics are recovered to a
+// 500; and Drain stops new work while in-flight requests finish. When
+// the disk goes bad, inserts degrade to acknowledged-but-not-durable (200
+// with durable:false) rather than blocking or failing — the
+// forced-snapshot path persists them as soon as the disk heals (see
+// durability.go).
 //
 // # Endpoints
 //
@@ -108,10 +110,13 @@ type entry struct {
 
 	// Result-cache accounting for this index (always zero on servers with
 	// the cache disabled): hits and misses against this entry's cached
-	// bodies, and the bytes they currently occupy (see cache.go).
+	// bodies, and the bytes they currently occupy (see cache.go). retired
+	// is set once the entry leaves the registry, so its late query leaders
+	// never cache their answers.
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 	cacheBytes  atomic.Int64
+	retired     atomic.Bool
 
 	// Leader-side replication coordinates: the incarnation of this
 	// entry's sequence space and the per-WAL stream origins (see
@@ -149,12 +154,10 @@ type Server struct {
 	walAppended      atomic.Int64
 	recovery         RecoverySummary
 
-	// Overload control (see admission.go), result cache (cache.go), and
-	// batched admission (batcher.go), plus request-lifecycle state.
+	// Query table (cache + coalesce, see cache.go) and overload control
+	// (admission.go), plus request-lifecycle state.
+	cache          *queryTable
 	adm            *admission
-	flight         flightGroup
-	cache          *resultCache // nil when Config.CacheBytes == 0 (cache off)
-	batcher        queryBatcher
 	defaultTimeout time.Duration
 	draining       atomic.Bool  // Drain/Close called: new requests get 503
 	httpInFlight   atomic.Int64 // requests currently inside ServeHTTP
@@ -162,9 +165,7 @@ type Server struct {
 	coalesceWait   atomic.Int64 // gauge: followers blocked on a leader right now
 	timedOut       atomic.Int64 // queries that ran out of deadline (504)
 	canceled       atomic.Int64 // queries abandoned by client disconnect (499)
-	executed       atomic.Int64 // index traversals: solo queries, batches, group sweeps
-	batchedGroups  atomic.Int64 // queued point-query groups executed as one sweep
-	batchedQueries atomic.Int64 // point queries claimed by a group sweep
+	executed       atomic.Int64 // index traversals: point queries and batches
 	panics         atomic.Int64 // handler panics recovered to a 500
 	persistErrors  atomic.Int64 // failed persistence operations, server-wide
 	nonDurableIns  atomic.Int64 // inserts acknowledged durable:false, server-wide
@@ -590,12 +591,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var dropErr error
 	if ok {
 		dropErr = s.dropPersisted(name, e)
-		if s.cache != nil {
-			// Release the dead entry's cached bodies now instead of letting
-			// them squat on the byte budget until they age out (the entry
-			// pointer in the key already makes them unreachable).
-			s.cache.purgeEntry(e)
-		}
+		// Release the dead entry's cached bodies now instead of letting
+		// them squat on the byte budget until they age out (the entry
+		// pointer in the key already makes them unreachable).
+		s.cache.purgeEntry(e)
 	}
 	s.adminMu.Unlock()
 	if !ok {
@@ -679,36 +678,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.queryContext(r, req.TimeoutMS)
 	defer cancel()
-	// The query path is cache → coalesce → admit → execute. The flight key
-	// doubles as the cache key: the generation in it is read before any of
-	// the three stages, so a query that arrives after an insert never
-	// shares a pre-insert flight — and never hits a pre-insert cache line.
-	key := flightKey{e: e, gen: generationOf(e), lo: req.Lo, hi: req.Hi, epsRel: req.EpsRel}
-	if s.cache != nil {
-		if body, ok := s.cache.get(key); ok {
-			e.cacheHits.Add(1)
-			writeRaw(w, http.StatusOK, body)
-			return
-		}
-		e.cacheMisses.Add(1)
-	}
-	// Coalesce identical concurrent queries. Only the leader proceeds to
-	// admission; followers repeat its bytes — or abandon the wait when
-	// their own context dies first (ferr), which is their deadline, not
+	// The query path is query table (cache + coalesce) → admit → execute.
+	// The generation in the key is read before the table lookup, so a
+	// query that arrives after an insert never shares a pre-insert flight
+	// — and never hits a pre-insert cache line. Only a leader proceeds to
+	// admission; followers repeat its bytes, or abandon the wait when
+	// their own context dies first (err), which is their deadline, not
 	// the leader's.
-	status, body, leader, ferr := s.flight.do(ctx, key, &s.coalesceWait, func() (int, []byte) {
-		return s.pointQuery(ctx, e, req, key)
+	key := flightKey{e: e, gen: generationOf(e), lo: req.Lo, hi: req.Hi, epsRel: req.EpsRel}
+	status, body, followed, err := s.cache.do(ctx, key, &s.coalesceWait, func() (int, []byte) {
+		return s.pointQuery(ctx, e, req)
 	})
-	if ferr != nil {
-		status, body = s.cancelFailure(ferr, "waiting on a coalesced query")
-		writeRaw(w, status, body)
-		return
-	}
-	if !leader {
+	if err != nil {
+		status, body = s.cancelFailure(err, "waiting on a coalesced query")
+	} else if followed {
 		s.coalesced.Add(1)
-	}
-	if leader && status == http.StatusOK && s.cache != nil {
-		s.cache.put(key, body)
 	}
 	writeRaw(w, status, body)
 }
@@ -986,7 +970,7 @@ func (s *Server) statsOf(name string, e *entry) StatsResponse {
 			out.ShardStats = append(out.ShardStats, row)
 		}
 	}
-	if s.cache != nil {
+	if s.cache.enabled {
 		out.CacheHits = e.cacheHits.Load()
 		out.CacheMisses = e.cacheMisses.Load()
 		out.CacheBytes = e.cacheBytes.Load()
