@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test race bench bench-smoke benchdiff crashtest chaos cluster cover oracle apicheck lint fmt vet
+.PHONY: test race bench bench-smoke benchdiff crashtest chaos cluster cover oracle apicheck perfbench-check lint fmt vet
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -72,6 +72,13 @@ oracle:
 apicheck:
 	$(GO) build ./examples/...
 	$(GO) test -run TestAPISurface . -count=1
+
+# The benchmark harness is its own module (repro/perfbench, see
+# perfbench/go.mod), so the root build, vet and test never compile it even
+# though it imports the root package, internal/persist and
+# internal/server. Vet and test it separately.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Project-specific static analysis (cmd/polyfit-lint): atomic/plain access
 # mixing, "guarded by" mutex annotations, Result.Bound certification,

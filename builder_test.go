@@ -144,30 +144,27 @@ func TestBuilderBoundOracle(t *testing.T) {
 	}
 }
 
-// TestQueryRelBoundSymmetry pins the satellite fix: static and dynamic
-// QueryRel populate Result.Bound exactly like the sharded variants — the
-// δ-derived guarantee on the approximate path, 0 on the exact path — on
-// both the v1 wrappers and the Index interface.
+// TestQueryRelBoundSymmetry pins that static and dynamic QueryRel populate
+// Result.Bound exactly like the sharded variants: the δ-derived guarantee
+// on the approximate path, 0 on the exact path.
 func TestQueryRelBoundSymmetry(t *testing.T) {
 	keys, _ := builderDataset(3000, 7)
 	// Small enough that the Lemma 3 gate A ≥ 2δ(1+1/εrel) passes on the
 	// wide range below (A ≈ 2900 ≫ 8·101).
 	const eps = 8.0
-	st, err := polyfit.NewCountIndex(keys, polyfit.Options{EpsAbs: eps})
+	spec := polyfit.Spec{Agg: polyfit.Count, Keys: keys}
+	st, err := polyfit.New(spec, polyfit.WithMaxError(eps))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := polyfit.NewDynamicCountIndex(keys, polyfit.Options{EpsAbs: eps})
+	dyn, err := polyfit.New(spec, polyfit.WithMaxError(eps), polyfit.WithDynamic())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide := [2]float64{keys[10], keys[2900]} // approximate gate passes
-	tiny := [2]float64{keys[0] - 2, keys[0] - 1}
-	for name, q := range map[string]func(lo, hi, e float64) (polyfit.Result, error){
-		"static":  st.QueryRel,
-		"dynamic": dyn.QueryRel,
-	} {
-		res, err := q(wide[0], wide[1], 0.01)
+	wide := polyfit.Range{Lo: keys[10], Hi: keys[2900]} // approximate gate passes
+	tiny := polyfit.Range{Lo: keys[0] - 2, Hi: keys[0] - 1}
+	for name, ix := range map[string]polyfit.Index{"static": st, "dynamic": dyn} {
+		res, err := ix.QueryRel(wide, 0.01)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +174,7 @@ func TestQueryRelBoundSymmetry(t *testing.T) {
 		if res.Bound != eps { // 2δ = εabs for COUNT
 			t.Errorf("%s approximate QueryRel: Bound %g, want %g", name, res.Bound, eps)
 		}
-		res, err = q(tiny[0], tiny[1], 0.01)
+		res, err = ix.QueryRel(tiny, 0.01)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +194,7 @@ func TestSentinelErrors(t *testing.T) {
 	spec := polyfit.Spec{Agg: polyfit.Sum, Keys: keys, Measures: measures}
 
 	for layout, extra := range layoutOptions() {
-		// ErrBadOptions: no error budget (identity-preserved for v1 callers).
+		// ErrBadOptions: no error budget.
 		if _, err := polyfit.New(spec, extra...); !errors.Is(err, polyfit.ErrBadOptions) {
 			t.Errorf("%s: no-eps build: got %v, want ErrBadOptions", layout, err)
 		}
@@ -246,26 +243,7 @@ func TestSentinelErrors(t *testing.T) {
 		}
 	}
 
-	// The v1 wrappers share the adapters' NaN validation (same surface,
-	// same behavior) and WithDegree ignores non-positive values per the
-	// Option contract.
-	v1, err := polyfit.NewCountIndex(keys, polyfit.Options{EpsAbs: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := v1.Query(math.NaN(), 50); !errors.Is(err, polyfit.ErrInvalidRange) {
-		t.Errorf("v1 NaN Query: got %v, want ErrInvalidRange", err)
-	}
-	if _, err := v1.QueryBatch([]polyfit.Range{{Lo: math.NaN(), Hi: 1}}); !errors.Is(err, polyfit.ErrInvalidRange) {
-		t.Errorf("v1 NaN QueryBatch: got %v, want ErrInvalidRange", err)
-	}
-	sh1, err := polyfit.NewSharded(polyfit.Count, keys, nil, polyfit.ShardOptions{Options: polyfit.Options{EpsAbs: 10}, Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sh1.QueryWithBound(math.NaN(), 50); !errors.Is(err, polyfit.ErrInvalidRange) {
-		t.Errorf("v1 sharded NaN QueryWithBound: got %v, want ErrInvalidRange", err)
-	}
+	// WithDegree ignores non-positive values per the Option contract.
 	if _, err := polyfit.New(polyfit.Spec{Agg: polyfit.Count, Keys: keys},
 		polyfit.WithMaxError(10), polyfit.WithDegree(-3)); err != nil {
 		t.Errorf("WithDegree(-3) should be a no-op, got %v", err)
@@ -275,9 +253,10 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := polyfit.New(polyfit.Spec{Agg: polyfit.Agg(9), Keys: keys}, polyfit.WithMaxError(1)); !errors.Is(err, polyfit.ErrAggMismatch) {
 		t.Errorf("unknown aggregate: got %v, want ErrAggMismatch", err)
 	}
-	// ErrBadOptions identity for v1 callers (compared with ==, not only Is).
-	if _, err := polyfit.NewCountIndex(keys, polyfit.Options{}); err != polyfit.ErrBadOptions {
-		t.Errorf("v1 no-eps build: got %v, want ErrBadOptions (identity)", err)
+	// ErrBadOptions is returned as the sentinel itself (compared with ==,
+	// not only Is).
+	if _, err := polyfit.New(polyfit.Spec{Agg: polyfit.Count, Keys: keys}); err != polyfit.ErrBadOptions {
+		t.Errorf("no-eps build: got %v, want ErrBadOptions (identity)", err)
 	}
 	// 2D: NaN rectangles and non-positive epsRel wrap ErrInvalidRange; the
 	// bound mirrors Lemma 6 (4δ = εabs).
@@ -296,9 +275,8 @@ func TestSentinelErrors(t *testing.T) {
 	}
 }
 
-// TestBuilderLayoutCapabilities pins which capabilities each layout
-// exposes, and that v1 constructors produce the same indexes as the builder
-// (delegation, not duplication).
+// TestBuilderLayoutCapabilities pins which capabilities the sharded
+// dynamic layout exposes.
 func TestBuilderLayoutCapabilities(t *testing.T) {
 	keys, measures := builderDataset(2000, 17)
 	ix, err := polyfit.New(polyfit.Spec{Agg: polyfit.Sum, Keys: keys, Measures: measures},
@@ -318,23 +296,5 @@ func TestBuilderLayoutCapabilities(t *testing.T) {
 	}
 	if st := ix.Stats(); st.Shards != 4 || st.Records != len(keys) {
 		t.Fatalf("Stats = %+v, want 4 shards over %d records", st, len(keys))
-	}
-	// The v1 wrapper and the builder must produce bitwise-identical answers
-	// for the same configuration (the wrapper delegates to the builder).
-	v1, err := polyfit.NewSumIndex(keys, measures, polyfit.Options{EpsAbs: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := polyfit.New(polyfit.Spec{Agg: polyfit.Sum, Keys: keys, Measures: measures}, polyfit.WithMaxError(25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := 0; q < 200; q++ {
-		lo, hi := keys[q], keys[len(keys)-1-q]
-		a, _, _ := v1.Query(lo, hi)
-		b, err := v2.Query(polyfit.Range{Lo: lo, Hi: hi})
-		if err != nil || math.Float64bits(a) != math.Float64bits(b.Value) {
-			t.Fatalf("v1 vs builder divergence at (%g,%g]: %g vs %g (%v)", lo, hi, a, b.Value, err)
-		}
 	}
 }

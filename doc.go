@@ -64,11 +64,12 @@
 // write-opened files — with per-line exceptions via
 // "//lint:ignore <analyzer> reason".
 //
-// # Migrating from the v1 API
+// # The v1 API was removed
 //
-// The v1 per-variant constructors and concrete types remain as thin
-// deprecated wrappers over the builder, so existing code compiles
-// unchanged. New code should use the builder:
+// The v1 per-variant constructors and concrete types (StaticIndex,
+// DynamicIndex, ShardedIndex, ShardedDynamic, Options, ShardOptions,
+// BatchResult) are gone; every layout is built by New and served through
+// Index. The mapping for code written against v1:
 //
 //	v1                                          v2
 //	----------------------------------------    ------------------------------------------------
@@ -83,10 +84,9 @@
 //	AssembleShardedDynamic(bounds, blobs)       Assemble(bounds, blobs)
 //	dyn.Insert / dyn.Rebuild                    ix.(Inserter).Insert / Rebuild
 //	sharded.NumShards / Bounds / ShardStats     ix.(Sharder).NumShards / Bounds / ShardStats
+//	dyn.Len()                                   ix.Stats().Records
 //
-// (The v1 static struct is now named StaticIndex; `polyfit.Index` is the
-// interface. Code that spelled the struct type explicitly is the one
-// intentional break.)
+// Blobs written through the v1 types load unchanged through Open.
 //
 // # Guarantees
 //
@@ -272,6 +272,15 @@
 // idempotently (duplicate keys are rejected exactly, so a log overlapping
 // its snapshot re-applies nothing), truncates torn final records, and
 // skips — reports, never crashes on — corrupt files.
+//
+// One code path serves every layout: a dynamic index has one log per
+// part — one for a plain index, one per shard for a sharded one — and
+// recovery, snapshots, create, restore and teardown all loop over those
+// parts. Only the file names differ: a plain index keeps snapshot.pf and
+// wal.pf, a sharded one a shard manifest plus shard-i.snapshot.pf and
+// shard-i.wal.pf. A restore folds the replaced index's logs into its own
+// snapshot before it writes the new one, so a restore that fails leaves
+// the old index, with every acknowledged insert, on disk and serving.
 //
 // # Robustness contract (serving layer)
 //

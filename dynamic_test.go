@@ -10,23 +10,32 @@ import (
 	"repro/internal/data"
 )
 
+// buildDynamic builds an insertable index through New(…, WithDynamic())
+// and returns it with its Inserter capability.
+func buildDynamic(t testing.TB, spec Spec, opts ...Option) (Index, Inserter) {
+	t.Helper()
+	ix := build(t, spec, append(opts, WithDynamic())...)
+	ins, ok := ix.(Inserter)
+	if !ok {
+		t.Fatalf("WithDynamic index %T is not an Inserter", ix)
+	}
+	return ix, ins
+}
+
 func TestDynamicCountEndToEnd(t *testing.T) {
 	keys := data.GenTweet(3000, 61)
 	const eps = 40.0
-	d, err := NewDynamicCountIndex(keys, Options{EpsAbs: eps})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, ins := buildDynamic(t, Spec{Agg: Count, Keys: keys}, WithMaxError(eps))
 	all := append([]float64(nil), keys...)
 	rng := rand.New(rand.NewSource(62))
 	for i := 0; i < 800; i++ {
 		k := -60 + rng.Float64()*135
-		if err := d.Insert(k, 1); err == nil {
+		if err := ins.Insert(k, 1); err == nil {
 			all = append(all, k)
 		}
 	}
-	if d.Len() != len(all) {
-		t.Fatalf("Len = %d, want %d", d.Len(), len(all))
+	if got := d.Stats().Records; got != len(all) {
+		t.Fatalf("Records = %d, want %d", got, len(all))
 	}
 	for q := 0; q < 200; q++ {
 		l := all[rng.Intn(len(all))]
@@ -34,7 +43,7 @@ func TestDynamicCountEndToEnd(t *testing.T) {
 		if l > u {
 			l, u = u, l
 		}
-		got, _, err := d.Query(l, u)
+		got, _, err := query(d, l, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,51 +65,45 @@ func TestDynamicCountEndToEnd(t *testing.T) {
 
 func TestDynamicMaxEndToEnd(t *testing.T) {
 	keys, measures := data.GenHKI(2000, 63)
-	d, err := NewDynamicMaxIndex(keys, measures, Options{EpsAbs: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, ins := buildDynamic(t, Spec{Agg: Max, Keys: keys, Measures: measures}, WithMaxError(100))
 	// Insert a new global peak past the end of the series.
 	peakKey := keys[len(keys)-1] + 100
-	if err := d.Insert(peakKey, 99999); err != nil {
+	if err := ins.Insert(peakKey, 99999); err != nil {
 		t.Fatal(err)
 	}
-	v, found, err := d.Query(keys[0], peakKey+1)
+	v, found, err := query(d, keys[0], peakKey+1)
 	if err != nil || !found {
 		t.Fatalf("query: %v %v", err, found)
 	}
 	if v < 99999-100 {
 		t.Errorf("inserted peak lost: %g", v)
 	}
-	if err := d.Rebuild(); err != nil {
+	if err := ins.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if d.BufferLen() != 0 {
+	if ins.BufferLen() != 0 {
 		t.Error("buffer survived rebuild")
 	}
-	v, _, _ = d.Query(keys[0], peakKey+1)
+	v, _, _ = query(d, keys[0], peakKey+1)
 	if v < 99999-100 {
 		t.Errorf("peak lost after rebuild: %g", v)
 	}
 }
 
 func TestDynamicOptionsValidation(t *testing.T) {
-	if _, err := NewDynamicCountIndex(data.GenTweet(100, 64), Options{}); err != ErrBadOptions {
+	if _, err := New(Spec{Agg: Count, Keys: data.GenTweet(100, 64)}, WithDynamic()); err != ErrBadOptions {
 		t.Errorf("want ErrBadOptions, got %v", err)
 	}
 }
 
 func TestDynamicQueryRel(t *testing.T) {
 	keys := data.GenTweet(3000, 65)
-	d, err := NewDynamicCountIndex(keys, Options{Delta: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, ins := buildDynamic(t, Spec{Agg: Count, Keys: keys}, WithDelta(50))
 	all := append([]float64(nil), keys...)
 	rng := rand.New(rand.NewSource(66))
 	for i := 0; i < 300; i++ {
 		k := -60 + rng.Float64()*135
-		if err := d.Insert(k, 1); err == nil {
+		if err := ins.Insert(k, 1); err == nil {
 			all = append(all, k)
 		}
 	}
@@ -111,7 +114,7 @@ func TestDynamicQueryRel(t *testing.T) {
 		if l > u {
 			l, u = u, l
 		}
-		res, err := d.QueryRel(l, u, epsRel)
+		res, err := d.QueryRel(Range{Lo: l, Hi: u}, epsRel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,31 +130,26 @@ func TestDynamicQueryRel(t *testing.T) {
 	}
 }
 
-// DisableFallback is honored now instead of being silently forced on: a
+// WithFallback(false) is honored instead of being silently forced on: a
 // fallback-free dynamic index answers absolute queries but returns
 // ErrNoFallback when the relative gate cannot certify the bound.
 func TestDynamicDisableFallbackHonored(t *testing.T) {
 	keys := data.GenTweet(2000, 67)
-	d, err := NewDynamicCountIndex(keys, Options{Delta: 50, DisableFallback: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, _ := buildDynamic(t, Spec{Agg: Count, Keys: keys}, WithDelta(50), WithFallback(false))
 	if st := d.Stats(); st.FallbackBytes != 0 {
-		t.Errorf("DisableFallback ignored: %d fallback bytes", st.FallbackBytes)
+		t.Errorf("WithFallback(false) ignored: %d fallback bytes", st.FallbackBytes)
 	}
-	if _, _, err := d.Query(10, 20); err != nil {
+	if _, _, err := query(d, 10, 20); err != nil {
 		t.Errorf("absolute query: %v", err)
 	}
 	// An empty range can never pass the Lemma 3 gate.
-	if _, err := d.QueryRel(keys[0], keys[0], 0.01); err != ErrNoFallback {
+	empty := Range{Lo: keys[0], Hi: keys[0]}
+	if _, err := d.QueryRel(empty, 0.01); err != ErrNoFallback {
 		t.Errorf("want ErrNoFallback, got %v", err)
 	}
 	// With the fallback built (the default), the same query succeeds.
-	df, err := NewDynamicCountIndex(keys, Options{Delta: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := df.QueryRel(keys[0], keys[0], 0.01); err != nil {
+	df, _ := buildDynamic(t, Spec{Agg: Count, Keys: keys}, WithDelta(50))
+	if _, err := df.QueryRel(empty, 0.01); err != nil {
 		t.Errorf("fallback path: %v", err)
 	}
 }
@@ -160,14 +158,11 @@ func TestDynamicDisableFallbackHonored(t *testing.T) {
 // and the prefix-aggregate array (24 B per buffered record), not 16 B.
 func TestDynamicStatsBufferAccounting(t *testing.T) {
 	keys := data.GenTweet(1500, 68)
-	d, err := NewDynamicCountIndex(keys, Options{EpsAbs: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, ins := buildDynamic(t, Spec{Agg: Count, Keys: keys}, WithMaxError(50))
 	before := d.Stats()
 	const n = 20
 	for i := 0; i < n; i++ {
-		if err := d.Insert(1e6+float64(i), 1); err != nil {
+		if err := ins.Insert(1e6+float64(i), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,13 +174,10 @@ func TestDynamicStatsBufferAccounting(t *testing.T) {
 
 func TestDynamicQueryBatchMatchesSerial(t *testing.T) {
 	keys, measures := data.GenHKI(4000, 69)
-	d, err := NewDynamicMaxIndex(keys, measures, Options{EpsAbs: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, ins := buildDynamic(t, Spec{Agg: Max, Keys: keys, Measures: measures}, WithMaxError(100))
 	rng := rand.New(rand.NewSource(70))
 	for i := 0; i < 50; i++ {
-		d.Insert(keys[len(keys)-1]+1+rng.Float64()*1000, rng.Float64()*500) //nolint:errcheck
+		ins.Insert(keys[len(keys)-1]+1+rng.Float64()*1000, rng.Float64()*500) //nolint:errcheck
 	}
 	ranges := make([]Range, 400)
 	lo, hi := keys[0], keys[len(keys)-1]+1001
@@ -201,7 +193,7 @@ func TestDynamicQueryBatchMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range ranges {
-		want, ok, err := d.Query(r.Lo, r.Hi)
+		want, ok, err := query(d, r.Lo, r.Hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,12 +206,9 @@ func TestDynamicQueryBatchMatchesSerial(t *testing.T) {
 
 func TestDynamicMarshalRoundTrip(t *testing.T) {
 	keys := data.GenTweet(2000, 71)
-	d, err := NewDynamicCountIndex(keys, Options{EpsAbs: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, ins := buildDynamic(t, Spec{Agg: Count, Keys: keys}, WithMaxError(50))
 	for i := 0; i < 10; i++ {
-		if err := d.Insert(1e6+float64(i), 1); err != nil {
+		if err := ins.Insert(1e6+float64(i), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,26 +216,30 @@ func TestDynamicMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.BufferLen() != 10 {
-		t.Errorf("MarshalBinary disturbed the buffer: %d", d.BufferLen())
+	if ins.BufferLen() != 10 {
+		t.Errorf("MarshalBinary disturbed the buffer: %d", ins.BufferLen())
 	}
 	if DetectBlob(blob) != BlobDynamic {
 		t.Errorf("dynamic blob detected as %v", DetectBlob(blob))
 	}
-	loaded := &DynamicIndex{}
-	if err := loaded.UnmarshalBinary(blob); err != nil {
+	loaded, err := Open(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := loaded.Len(), d.Len(); got != want {
+	if got, want := loaded.Stats().Records, d.Stats().Records; got != want {
 		t.Errorf("loaded index has %d records, want %d", got, want)
 	}
-	if got := loaded.BufferLen(); got != 10 {
+	loadedIns, ok := loaded.(Inserter)
+	if !ok {
+		t.Fatalf("Open restored a dynamic blob as %T, not an Inserter", loaded)
+	}
+	if got := loadedIns.BufferLen(); got != 10 {
 		t.Errorf("loaded buffer has %d inserts, want 10 (restore must keep the buffer a buffer)", got)
 	}
 	// Nothing is re-fitted on restore, so every answer agrees bit-for-bit.
 	for _, q := range [][2]float64{{10, 1e7}, {-90, 90}, {1e6 - 1, 1e6 + 4}, {5, 5}} {
-		want, _, _ := d.Query(q[0], q[1])
-		got, _, err := loaded.Query(q[0], q[1])
+		want, _, _ := query(d, q[0], q[1])
+		got, _, err := query(loaded, q[0], q[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,36 +249,29 @@ func TestDynamicMarshalRoundTrip(t *testing.T) {
 	}
 	// The fallback was enabled at build time, so the restored index must
 	// serve relative-error queries too (the old format lost this).
-	res, err := loaded.QueryRel(1e6-1, 1e6+4, 0.01)
+	res, err := loaded.QueryRel(Range{Lo: 1e6 - 1, Hi: 1e6 + 4}, 0.01)
 	if err != nil {
 		t.Fatalf("QueryRel on restored index: %v", err)
 	}
 	if res.Value != 5 {
 		t.Errorf("QueryRel counted %g buffered inserts, want 5", res.Value)
 	}
-	// A static index must refuse the dynamic blob with a useful error.
-	if err := (&StaticIndex{}).UnmarshalBinary(blob); err == nil {
-		t.Error("static UnmarshalBinary accepted a dynamic blob")
-	}
 }
 
 func TestDynamicMarshalPreservesDisabledFallback(t *testing.T) {
 	keys := data.GenTweet(1000, 72)
-	d, err := NewDynamicCountIndex(keys, Options{EpsAbs: 50, DisableFallback: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, _ := buildDynamic(t, Spec{Agg: Count, Keys: keys}, WithMaxError(50), WithFallback(false))
 	blob, err := d.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded := &DynamicIndex{}
-	if err := loaded.UnmarshalBinary(blob); err != nil {
+	loaded, err := Open(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// A tiny range cannot pass the Lemma 3 gate, so this must surface
-	// ErrNoFallback — the restored index honours DisableFallback.
-	if _, err := loaded.QueryRel(keys[0], keys[0], 0.01); err != ErrNoFallback {
+	// ErrNoFallback — the restored index honours WithFallback(false).
+	if _, err := loaded.QueryRel(Range{Lo: keys[0], Hi: keys[0]}, 0.01); err != ErrNoFallback {
 		t.Errorf("QueryRel on fallback-less restored index: %v, want ErrNoFallback", err)
 	}
 	if loaded.Stats().FallbackBytes != 0 {
@@ -299,10 +285,7 @@ func TestDynamicMarshalPreservesDisabledFallback(t *testing.T) {
 func TestDynamicConcurrentUse(t *testing.T) {
 	keys := data.GenTweet(3000, 73)
 	const eps = 50.0
-	d, err := NewDynamicCountIndex(keys, Options{EpsAbs: eps})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, ins := buildDynamic(t, Spec{Agg: Count, Keys: keys}, WithMaxError(eps))
 	// attempted is bumped before Insert, inserted after it returns, so the
 	// live record count is always within [inserted, attempted].
 	var attempted, inserted atomic.Int64
@@ -315,7 +298,7 @@ func TestDynamicConcurrentUse(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 500; i++ {
 				attempted.Add(1)
-				if err := d.Insert(rng.Float64()*1e6+1e3, 1); err == nil {
+				if err := ins.Insert(rng.Float64()*1e6+1e3, 1); err == nil {
 					inserted.Add(1)
 				} else {
 					attempted.Add(-1)
@@ -327,7 +310,7 @@ func TestDynamicConcurrentUse(t *testing.T) {
 	go func() {
 		defer writers.Done()
 		for i := 0; i < 4; i++ {
-			if err := d.Rebuild(); err != nil {
+			if err := ins.Rebuild(); err != nil {
 				t.Error(err)
 				return
 			}
@@ -345,7 +328,7 @@ func TestDynamicConcurrentUse(t *testing.T) {
 				default:
 				}
 				floor := float64(len(keys)) + float64(inserted.Load())
-				v, found, err := d.Query(-1e7, 1e7)
+				v, found, err := query(d, -1e7, 1e7)
 				if err != nil || !found {
 					t.Errorf("query: %v %v", err, found)
 					return
@@ -362,7 +345,7 @@ func TestDynamicConcurrentUse(t *testing.T) {
 						return
 					}
 				case 1:
-					if _, err := d.QueryRel(-90, 90, 0.01); err != nil {
+					if _, err := d.QueryRel(Range{Lo: -90, Hi: 90}, 0.01); err != nil {
 						t.Error(err)
 						return
 					}
@@ -375,7 +358,7 @@ func TestDynamicConcurrentUse(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	readers.Wait()
-	if got, want := d.Len(), len(keys)+int(inserted.Load()); got != want {
-		t.Errorf("Len = %d, want %d", got, want)
+	if got, want := d.Stats().Records, len(keys)+int(inserted.Load()); got != want {
+		t.Errorf("Records = %d, want %d", got, want)
 	}
 }

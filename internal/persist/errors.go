@@ -12,13 +12,18 @@ var (
 	// checksum validation. Callers are expected to treat it as "this file
 	// is unusable", not as a crash.
 	ErrCorrupt = errors.New("persist: corrupt file")
-	// ErrClosed reports an operation on a WAL whose file handle has been
-	// closed (Close called, or a failed reopen after Reset/TruncateTo).
+	// ErrClosed reports an operation on a WAL after Close.
 	ErrClosed = errors.New("persist: wal is closed")
 	// ErrSick reports an append on a WAL that previously failed an append
-	// even after retries and has not been healed by a Reset. Records
-	// accepted while sick would silently miss the log, so the WAL refuses.
+	// even after retries, or lost its file handle, and has not been healed
+	// by a Reset. Records accepted while sick would silently miss the log,
+	// so the WAL refuses.
 	ErrSick = errors.New("persist: wal is sick (unrepaired append failure)")
+	// ErrUnsynced reports an atomic file replacement whose rename landed
+	// but whose directory fsync failed: readers already see the new
+	// content, but it may not survive a power cut until the directory is
+	// synced again.
+	ErrUnsynced = errors.New("persist: file replaced but directory not synced")
 	// ErrInvalidArgument reports caller-supplied values the store cannot
 	// act on: an empty data dir, a malformed manifest, an out-of-range cut.
 	ErrInvalidArgument = errors.New("persist: invalid argument")

@@ -190,7 +190,7 @@ func (s *Store) WriteSnapshot(name string, blob []byte) error {
 	binary.LittleEndian.PutUint64(header[8:], uint64(len(blob)))
 	binary.LittleEndian.PutUint32(header[16:], crc32.Checksum(blob, crcTable))
 	path := filepath.Join(dir, snapshotFile)
-	return s.retry.run(func() error { return writeFileAtomic(s.fs, path, header, blob) })
+	return writeFileAtomic(s.fs, s.retry, path, header, blob)
 }
 
 // ReadSnapshot loads and validates the index's snapshot, returning the
@@ -281,7 +281,7 @@ func (s *Store) WriteShardManifest(name string, m ShardManifest) error {
 	binary.LittleEndian.PutUint64(header[8:], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(header[16:], crc32.Checksum(payload, crcTable))
 	path := filepath.Join(dir, shardManifestFile)
-	return s.retry.run(func() error { return writeFileAtomic(s.fs, path, header, payload) })
+	return writeFileAtomic(s.fs, s.retry, path, header, payload)
 }
 
 // ReadShardManifest loads and validates the index's shard manifest. A
@@ -300,6 +300,9 @@ func (s *Store) ReadShardManifest(name string) (ShardManifest, error) {
 	}
 	if v := binary.LittleEndian.Uint16(data[4:]); v != manifestVersion {
 		return ShardManifest{}, fmt.Errorf("%w: manifest version %d", ErrCorrupt, v)
+	}
+	if r := binary.LittleEndian.Uint16(data[6:]); r != 0 {
+		return ShardManifest{}, fmt.Errorf("%w: manifest reserved bytes %#x", ErrCorrupt, r)
 	}
 	payloadLen := binary.LittleEndian.Uint64(data[8:])
 	if payloadLen != uint64(len(data)-snapHeaderSize) {
@@ -344,7 +347,7 @@ func (s *Store) WriteShardSnapshot(name string, i int, blob []byte) error {
 	binary.LittleEndian.PutUint64(header[8:], uint64(len(blob)))
 	binary.LittleEndian.PutUint32(header[16:], crc32.Checksum(blob, crcTable))
 	path := filepath.Join(dir, shardSnapshotFile(i))
-	return s.retry.run(func() error { return writeFileAtomic(s.fs, path, header, blob) })
+	return writeFileAtomic(s.fs, s.retry, path, header, blob)
 }
 
 // ReadShardSnapshot loads and validates shard i's snapshot.
@@ -398,46 +401,42 @@ func (s *Store) RemoveShardFilesFrom(name string, from int) error {
 	return nil
 }
 
-// RemoveShardWALFiles deletes every per-shard WAL file of the index,
-// leaving the manifest and snapshots in place. Restores call it (after
-// closing any open handles) to retire the replaced index's logs BEFORE
-// committing the new manifest, so no crash point can replay a dead
-// index's records into the restored one.
-func (s *Store) RemoveShardWALFiles(name string) error {
-	entries, err := s.fs.ReadDir(s.IndexDir(name))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
-		return fmt.Errorf("persist: list index dir: %w", err)
+// writeFileAtomic writes the chunks to path atomically, retrying per the
+// policy. Once any attempt's rename has landed, the new content is what
+// readers see even if a later step failed; that failure is reported
+// wrapping ErrUnsynced so callers can tell "replaced, durability
+// uncertain" from "untouched".
+func writeFileAtomic(fsys FS, retry RetryPolicy, path string, chunks ...[]byte) error {
+	renamed := false
+	err := retry.run(func() error {
+		r, err := writeFileOnce(fsys, path, chunks...)
+		renamed = renamed || r
+		return err
+	})
+	if err != nil && renamed {
+		return fmt.Errorf("%w: %w", ErrUnsynced, err)
 	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "shard-") && strings.HasSuffix(e.Name(), ".wal.pf") {
-			if err := s.fs.Remove(filepath.Join(s.IndexDir(name), e.Name())); err != nil && !errors.Is(err, os.ErrNotExist) {
-				return fmt.Errorf("persist: remove %s: %w", e.Name(), err)
-			}
-		}
-	}
-	return nil
+	return err
 }
 
-// writeFileAtomic writes the chunks to a temp file in path's directory,
+// writeFileOnce writes the chunks to a temp file in path's directory,
 // fsyncs it, renames it over path, and fsyncs the directory so the rename
-// itself survives a crash. On any failure the temp file is removed
-// (best-effort) and the destination is untouched, so the whole operation
-// can simply be retried.
-func writeFileAtomic(fsys FS, path string, chunks ...[]byte) error {
+// itself survives a crash. On a failure before the rename the temp file is
+// removed (best-effort) and the destination is untouched, so the whole
+// operation can simply be retried. renamed reports whether the rename
+// happened.
+func writeFileOnce(fsys FS, path string, chunks ...[]byte) (renamed bool, err error) {
 	dir := filepath.Dir(path)
 	tmp, err := fsys.CreateTemp(dir, ".tmp-*")
 	if err != nil {
-		return fmt.Errorf("persist: temp file: %w", err)
+		return false, fmt.Errorf("persist: temp file: %w", err)
 	}
 	tmpName := tmp.Name()
-	cleanup := func(err error) error {
+	cleanup := func(err error) (bool, error) {
 		//lint:ignore syncclose the operation already failed and the temp file is removed next; joining a second (sometimes double-) close error would only mask the cause
 		tmp.Close()
 		fsys.Remove(tmpName)
-		return err
+		return false, err
 	}
 	for _, c := range chunks {
 		if _, err := tmp.Write(c); err != nil {
@@ -452,7 +451,7 @@ func writeFileAtomic(fsys FS, path string, chunks ...[]byte) error {
 	}
 	if err := fsys.Rename(tmpName, path); err != nil {
 		fsys.Remove(tmpName)
-		return fmt.Errorf("persist: rename: %w", err)
+		return false, fmt.Errorf("persist: rename: %w", err)
 	}
-	return fsys.SyncDir(dir)
+	return true, fsys.SyncDir(dir)
 }

@@ -118,13 +118,14 @@ func decodeRecords(data []byte) (recs []Record, valid int) {
 // the caller degrades to non-durable acks rather than blocking on a disk
 // that cannot be trusted.
 type WAL struct {
-	mu    sync.Mutex
-	path  string
-	fsys  FS
-	retry RetryPolicy
-	f     File
-	size  int64 // header + records, maintained to avoid a stat per append
-	sick  bool  // repair truncate failed; on-disk tail state unknown
+	mu     sync.Mutex
+	path   string
+	fsys   FS
+	retry  RetryPolicy
+	f      File
+	size   int64 // header + records, maintained to avoid a stat per append
+	sick   bool  // repair truncate failed; on-disk tail state unknown
+	closed bool  // Close was called; every later operation fails
 }
 
 // OpenWAL opens (creating if absent) the WAL at path on the real disk. See
@@ -137,6 +138,26 @@ func OpenWAL(path string) (w *WAL, recovered []Record, droppedBytes int, err err
 // policy; paths normally come from the store's own WALPath/ShardWALPath.
 func (s *Store) OpenWAL(path string) (w *WAL, recovered []Record, droppedBytes int, err error) {
 	return openWALFS(path, s.fs, s.retry)
+}
+
+// OpenFreshWAL opens the WAL at path for a brand-new (created or
+// restored) index and purges any records already in the file: they belong
+// to an earlier same-named index, and replaying them into the new one on
+// the next boot would insert records it never acknowledged. On failure it
+// still returns a usable handle — an empty, sick log whose appends fail
+// until Reset recreates the file — for callers that have already
+// committed the new index and must degrade rather than fail.
+func (s *Store) OpenFreshWAL(path string) (*WAL, error) {
+	w, stale, _, err := s.OpenWAL(path)
+	if err == nil && len(stale) > 0 {
+		if err = w.TruncateTo(w.Size()); err != nil {
+			w.Close() //nolint:errcheck
+		}
+	}
+	if err != nil {
+		return &WAL{path: path, fsys: s.fs, retry: s.retry.norm(), size: walHeaderSize, sick: true}, err
+	}
+	return w, nil
 }
 
 // openWALFS opens (creating if absent) the WAL at path and returns the valid
@@ -203,10 +224,10 @@ func (w *WAL) Append(recs []Record) error {
 	buf := MarshalRecords(recs)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.f == nil {
+	if w.closed {
 		return fmt.Errorf("%w: %s", ErrClosed, w.path)
 	}
-	if w.sick {
+	if w.sick || w.f == nil {
 		return fmt.Errorf("%w: %s", ErrSick, w.path)
 	}
 	var err error
@@ -249,23 +270,26 @@ func (w *WAL) Sick() bool {
 // Reset atomically rewrites the log as an empty (header-only) file and
 // clears the sick flag. Callers use it after a snapshot has made every
 // applied record durable through other means, so dropping the log —
-// whatever state its tail is in — loses nothing.
+// whatever state its tail is in — loses nothing. Reset also heals a log
+// that lost its file handle (a failed reopen, or OpenFreshWAL's fallback):
+// only Close is final.
 func (w *WAL) Reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.f == nil {
+	if w.closed {
 		return fmt.Errorf("%w: %s", ErrClosed, w.path)
 	}
 	header := make([]byte, walHeaderSize)
 	binary.LittleEndian.PutUint32(header[0:], walMagic)
 	binary.LittleEndian.PutUint16(header[4:], walVersion)
-	if err := w.retry.run(func() error {
-		return writeFileAtomic(w.fsys, w.path, header)
-	}); err != nil {
+	if err := writeFileAtomic(w.fsys, w.retry, w.path, header); err != nil {
+		w.dropLocked()
 		return err
 	}
-	//lint:ignore syncclose the old descriptor points at the file writeFileAtomic already unlinked; its close error cannot affect durability
-	w.f.Close()
+	if w.f != nil {
+		//lint:ignore syncclose the old descriptor points at the file writeFileAtomic already unlinked; its close error cannot affect durability
+		w.f.Close()
+	}
 	f, err := w.fsys.OpenFile(w.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		w.f = nil
@@ -292,8 +316,11 @@ func (w *WAL) Reset() error {
 func (w *WAL) ReadFrom(offset int64) (recs []Record, next int64, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.f == nil {
+	if w.closed {
 		return nil, 0, fmt.Errorf("%w: %s", ErrClosed, w.path)
+	}
+	if w.f == nil {
+		return nil, 0, fmt.Errorf("%w: %s", ErrSick, w.path)
 	}
 	if offset < walHeaderSize || offset > w.size || (offset-walHeaderSize)%walRecordSize != 0 {
 		return nil, 0, fmt.Errorf("%w: bad wal read offset %d (size %d)", ErrInvalidArgument, offset, w.size)
@@ -338,8 +365,11 @@ func (w *WAL) Records() int64 {
 func (w *WAL) TruncateTo(cut int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.f == nil {
+	if w.closed {
 		return fmt.Errorf("%w: %s", ErrClosed, w.path)
+	}
+	if w.f == nil {
+		return fmt.Errorf("%w: %s", ErrSick, w.path)
 	}
 	if cut < walHeaderSize || cut > w.size || (cut-walHeaderSize)%walRecordSize != 0 {
 		return fmt.Errorf("%w: bad wal cut %d (size %d)", ErrInvalidArgument, cut, w.size)
@@ -356,9 +386,8 @@ func (w *WAL) TruncateTo(cut int64) error {
 	header := make([]byte, walHeaderSize)
 	binary.LittleEndian.PutUint32(header[0:], walMagic)
 	binary.LittleEndian.PutUint16(header[4:], walVersion)
-	if err := w.retry.run(func() error {
-		return writeFileAtomic(w.fsys, w.path, header, tail)
-	}); err != nil {
+	if err := writeFileAtomic(w.fsys, w.retry, w.path, header, tail); err != nil {
+		w.dropLocked()
 		return err
 	}
 	// The old descriptor now points at the unlinked file; reopen the new one.
@@ -374,10 +403,27 @@ func (w *WAL) TruncateTo(cut int64) error {
 	return nil
 }
 
+// dropLocked gives up the file handle after a failed rewrite: the rename
+// may have landed before the failure (a failed directory fsync), leaving
+// the descriptor on an unlinked file, and an append acknowledged into it
+// would vanish. The log stays sick until Reset rewrites it.
+func (w *WAL) dropLocked() {
+	if w.f != nil {
+		//lint:ignore syncclose the descriptor is abandoned because its file may be unlinked; nothing acknowledged depends on its close
+		w.f.Close()
+	}
+	w.f = nil
+	w.sick = true
+}
+
 // Close releases the file handle. Further appends fail.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.closed {
+		return nil
+	}
+	w.closed = true
 	if w.f == nil {
 		return nil
 	}

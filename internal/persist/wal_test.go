@@ -276,3 +276,90 @@ func TestMarshalUnmarshalRecords(t *testing.T) {
 		t.Fatalf("flipped payload err = %v, want ErrCorrupt", err)
 	}
 }
+
+// failDirSyncFS fails every directory fsync while fail is set: the rename
+// before it has already landed.
+type failDirSyncFS struct {
+	FS
+	fail bool
+}
+
+func (f *failDirSyncFS) SyncDir(dir string) error {
+	if f.fail {
+		return errors.New("failDirSyncFS: injected directory fsync failure")
+	}
+	return f.FS.SyncDir(dir)
+}
+
+// TestWALRewriteFailedAfterRename: when a truncation's directory fsync
+// fails, the rewritten file is already in place and the old descriptor
+// points at the unlinked one. The failure is reported as ErrUnsynced,
+// appends are refused (an acknowledged record would vanish with the
+// unlinked file), and Reset heals the log.
+func TestWALRewriteFailedAfterRename(t *testing.T) {
+	fsys := &failDirSyncFS{FS: OSFS()}
+	s, err := OpenFS(t.TempDir(), fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetRetryPolicy(RetryPolicy{Attempts: 1})
+	path := s.WALPath("ix")
+	if err := fsys.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	w, _, _, err := s.OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	w.Append([]Record{{1, 1}, {2, 2}})
+	fsys.fail = true
+	if err := w.TruncateTo(w.Size()); !errors.Is(err, ErrUnsynced) {
+		t.Fatalf("TruncateTo with failing dir fsync: %v, want ErrUnsynced", err)
+	}
+	if err := w.Append([]Record{{3, 3}}); !errors.Is(err, ErrSick) {
+		t.Fatalf("append after a failed rewrite: %v, want ErrSick", err)
+	}
+	fsys.fail = false
+	if err := w.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append([]Record{{4, 4}}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	_, recs, _ := openWAL(t, path)
+	if len(recs) != 1 || recs[0] != (Record{4, 4}) {
+		t.Fatalf("replayed %+v, want only the post-Reset record", recs)
+	}
+}
+
+// TestOpenFreshWALFallback: a fresh log that cannot be created still
+// yields a handle — sick until Reset creates the file.
+func TestOpenFreshWALFallback(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := s.WALPath("ix") // the index dir does not exist yet
+	w, err := s.OpenFreshWAL(path)
+	if err == nil {
+		t.Fatal("OpenFreshWAL in a missing directory succeeded")
+	}
+	defer w.Close()
+	if err := w.Append([]Record{{1, 1}}); !errors.Is(err, ErrSick) {
+		t.Fatalf("append to the fallback log: %v, want ErrSick", err)
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append([]Record{{2, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.Records(); n != 1 {
+		t.Fatalf("healed log holds %d records, want 1", n)
+	}
+}

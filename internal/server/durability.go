@@ -227,27 +227,41 @@ func (s *Server) recover() error {
 	return nil
 }
 
+// recoverIndex loads one index's snapshot (a shard manifest marks it as
+// sharded: every shard snapshot is loaded and reassembled around the
+// manifest's routing bounds) and replays each of its logs on top. A
+// record routes back to the shard that logged it; duplicates — a crash
+// between a snapshot and its log truncation — skip idempotently. An
+// unreadable log is set aside and its part recovers to the snapshot; any
+// other failure fails the whole index, since serving a sharded index with
+// a hole in its key space would silently undercount.
 func (s *Server) recoverIndex(name string) (e *entry, replayed, skipped int64, torn int, err error) {
-	// A shard manifest marks the index as sharded: recover each shard's
-	// snapshot+WAL pair independently and reassemble. A corrupt manifest
-	// fails the whole index (the shard layout is unknowable without it).
-	man, merr := s.store.ReadShardManifest(name)
+	man, err := s.store.ReadShardManifest(name)
 	switch {
-	case merr == nil:
-		return s.recoverShardedIndex(name, man)
-	case !errors.Is(merr, os.ErrNotExist):
-		return nil, 0, 0, 0, fmt.Errorf("shard manifest: %w", merr)
-	}
-	blob, err := s.store.ReadSnapshot(name)
-	if err != nil {
+	case err == nil:
+		blobs := make([][]byte, man.Shards)
+		for i := range blobs {
+			if blobs[i], err = s.store.ReadShardSnapshot(name, i); err != nil {
+				return nil, 0, 0, 0, fmt.Errorf("shard %d snapshot: %w", i, err)
+			}
+		}
+		ix, err := polyfit.Assemble(man.Bounds, blobs)
+		if err != nil {
+			return nil, 0, 0, 0, fmt.Errorf("assemble shards: %w", err)
+		}
+		e = newEntry(ix)
+	case errors.Is(err, os.ErrNotExist):
+		blob, err := s.store.ReadSnapshot(name)
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, 0, 0, 0, fmt.Errorf("no snapshot: %w", err)
+		} else if err != nil {
+			return nil, 0, 0, 0, err
 		}
-		return nil, 0, 0, 0, err
-	}
-	e, err = entryFromBlob(blob)
-	if err != nil {
-		return nil, 0, 0, 0, fmt.Errorf("snapshot payload: %w", err)
+		if e, err = entryFromBlob(blob); err != nil {
+			return nil, 0, 0, 0, fmt.Errorf("snapshot payload: %w", err)
+		}
+	default:
+		return nil, 0, 0, 0, fmt.Errorf("shard manifest: %w", err)
 	}
 	if e.ins == nil {
 		// Static indexes never log inserts; a WAL here would be a bug, not
@@ -257,111 +271,147 @@ func (s *Server) recoverIndex(name string) (e *entry, replayed, skipped int64, t
 		}
 		return e, 0, 0, 0, nil
 	}
-	wal, recs, dropped, err := s.store.OpenWAL(s.store.WALPath(name))
-	if err != nil {
+	e.wals = make([]*persist.WAL, parts(e))
+	for i := range e.wals {
+		path := s.walPath(name, e, i)
+		wal, recs, dropped, err := s.store.OpenWAL(path)
 		if errors.Is(err, persist.ErrCorrupt) {
-			// The log is unreadable; the snapshot is still consistent, so
-			// recover to it, set the bad log aside, and start a fresh one.
-			s.logf("polyfit-serve: WAL for %q is corrupt (%v); recovering to last snapshot", name, err)
-			if err := s.store.SetAside(s.store.WALPath(name)); err != nil {
-				return nil, 0, 0, 0, err
+			s.logf("polyfit-serve: WAL %s of %q is corrupt (%v); recovering its part to the last snapshot", path, name, err)
+			if err = s.store.SetAside(path); err == nil {
+				wal, recs, dropped, err = s.store.OpenWAL(path)
 			}
-			if wal, recs, dropped, err = s.store.OpenWAL(s.store.WALPath(name)); err != nil {
-				return nil, 0, 0, 0, err
-			}
-		} else {
+		}
+		if err != nil {
+			closeWALs(e.wals)
 			return nil, 0, 0, 0, err
 		}
-	}
-	for _, r := range recs {
-		if insErr := e.ins.Insert(r.Key, r.Measure); insErr != nil {
-			if errors.Is(insErr, polyfit.ErrDuplicateKey) {
-				// The snapshot already covers this acknowledged insert
-				// (crash raced snapshot and truncation). Idempotent skip.
-				skipped++
-				continue
-			}
-			// Any other failure would silently drop an acknowledged,
-			// fsynced insert — refuse to serve the index instead.
-			wal.Close() //nolint:errcheck
-			return nil, 0, 0, 0, fmt.Errorf("replay insert %g: %w", r.Key, insErr)
-		}
-		replayed++
-	}
-	e.wal = wal
-	e.replayed = replayed
-	return e, replayed, skipped, dropped, nil
-}
-
-// recoverShardedIndex reconstitutes a sharded dynamic index: every shard's
-// snapshot is loaded, the shards are reassembled around the manifest's
-// routing bounds, and then each shard's WAL is replayed on top — records
-// route back to their owning shard, and duplicates (a crash between a
-// shard's snapshot and its log truncation) skip idempotently. Any
-// unrecoverable shard fails the whole index: serving a sharded index with
-// a hole in its key space would silently undercount.
-func (s *Server) recoverShardedIndex(name string, man persist.ShardManifest) (e *entry, replayed, skipped int64, torn int, err error) {
-	blobs := make([][]byte, man.Shards)
-	for i := range blobs {
-		if blobs[i], err = s.store.ReadShardSnapshot(name, i); err != nil {
-			return nil, 0, 0, 0, fmt.Errorf("shard %d snapshot: %w", i, err)
-		}
-	}
-	sd, err := polyfit.Assemble(man.Bounds, blobs)
-	if err != nil {
-		return nil, 0, 0, 0, fmt.Errorf("assemble shards: %w", err)
-	}
-	ins, ok := sd.(polyfit.Inserter)
-	if !ok {
-		return nil, 0, 0, 0, fmt.Errorf("assemble shards: index is not insertable")
-	}
-	wals := make([]*persist.WAL, man.Shards)
-	closeAll := func() {
-		for _, w := range wals {
-			if w != nil {
-				w.Close() //nolint:errcheck
-			}
-		}
-	}
-	for i := range wals {
-		wal, recs, dropped, werr := s.store.OpenWAL(s.store.ShardWALPath(name, i))
-		if werr != nil {
-			if !errors.Is(werr, persist.ErrCorrupt) {
-				closeAll()
-				return nil, 0, 0, 0, werr
-			}
-			// This shard's log is unreadable; its snapshot is still
-			// consistent, so recover the shard to it, set the bad log
-			// aside, and start a fresh one. The other shards' logs still
-			// replay — shard recovery is independent.
-			s.logf("polyfit-serve: WAL for %q shard %d is corrupt (%v); recovering shard to last snapshot", name, i, werr)
-			if err := s.store.SetAside(s.store.ShardWALPath(name, i)); err != nil {
-				closeAll()
-				return nil, 0, 0, 0, err
-			}
-			if wal, recs, dropped, werr = s.store.OpenWAL(s.store.ShardWALPath(name, i)); werr != nil {
-				closeAll()
-				return nil, 0, 0, 0, werr
-			}
-		}
-		wals[i] = wal
+		e.wals[i] = wal
 		torn += dropped
 		for _, r := range recs {
-			if insErr := ins.Insert(r.Key, r.Measure); insErr != nil {
+			if insErr := e.ins.Insert(r.Key, r.Measure); insErr != nil {
 				if errors.Is(insErr, polyfit.ErrDuplicateKey) {
 					skipped++
 					continue
 				}
-				closeAll()
-				return nil, 0, 0, 0, fmt.Errorf("shard %d replay insert %g: %w", i, r.Key, insErr)
+				// Any other failure would silently drop an acknowledged,
+				// fsynced insert — refuse to serve the index instead.
+				closeWALs(e.wals)
+				return nil, 0, 0, 0, fmt.Errorf("log %d replay insert %g: %w", i, r.Key, insErr)
 			}
 			replayed++
 		}
 	}
-	e = newEntry(sd)
-	e.shardWALs = wals
 	e.replayed = replayed
 	return e, replayed, skipped, torn, nil
+}
+
+// Path helpers: the only code that tells the two on-disk layouts apart. A
+// plain index is one snapshot.pf (plus wal.pf when dynamic); a sharded
+// dynamic index is a shard manifest plus one shard-i.snapshot.pf and
+// shard-i.wal.pf per shard. Everything else loops over the parts.
+
+// parts returns how many snapshot files the entry's durable form has —
+// one per shard for a sharded dynamic index, else one — which is also its
+// log count when dynamic.
+func parts(e *entry) int {
+	if e.shd != nil {
+		return e.shd.NumShards()
+	}
+	return 1
+}
+
+// shardOf returns the log an insert at key k goes to.
+func shardOf(e *entry, k float64) int {
+	if e.shd == nil {
+		return 0
+	}
+	return e.shd.ShardOf(k)
+}
+
+// walPath returns the file of the entry's i-th log.
+func (s *Server) walPath(name string, e *entry, i int) string {
+	if e.shd != nil {
+		return s.store.ShardWALPath(name, i)
+	}
+	return s.store.WALPath(name)
+}
+
+// writePart writes the entry's i-th snapshot file.
+func (s *Server) writePart(name string, e *entry, i int) error {
+	if e.shd == nil {
+		blob, err := e.ix.MarshalBinary()
+		if err != nil {
+			return fmt.Errorf("marshal %q: %w", name, err)
+		}
+		return s.store.WriteSnapshot(name, blob)
+	}
+	blob, err := e.shd.MarshalShard(i)
+	if err != nil {
+		return fmt.Errorf("marshal %q shard %d: %w", name, i, err)
+	}
+	return s.store.WriteShardSnapshot(name, i, blob)
+}
+
+// commitLayout is the commit point that makes recovery follow e's
+// snapshots in place of old's: a sharded index writes its manifest; a
+// plain one removes the manifest of a sharded predecessor (old, or files a
+// skipped index left when old is nil). Over a plain old there is no
+// manifest, and writing the plain snapshot was itself the commit.
+func (s *Server) commitLayout(name string, e, old *entry) error {
+	if e.shd != nil {
+		return s.store.WriteShardManifest(name, persist.ShardManifest{Shards: e.shd.NumShards(), Bounds: e.shd.Bounds()})
+	}
+	if old != nil && old.shd == nil {
+		return nil
+	}
+	if err := s.store.FS().Remove(s.store.ShardManifestPath(name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	return nil
+}
+
+// removeStale deletes, after the commit, the files recovery no longer
+// reads: the other layout's snapshot and logs, shards beyond the new
+// count, and the log of an index that became static.
+func (s *Server) removeStale(name string, e *entry) error {
+	var stale []string
+	if e.shd != nil {
+		stale = []string{s.store.SnapshotPath(name), s.store.WALPath(name)}
+		if err := s.store.RemoveShardFilesFrom(name, parts(e)); err != nil {
+			return err
+		}
+	} else {
+		if err := s.store.RemoveShardFiles(name); err != nil {
+			return err
+		}
+		if e.ins == nil {
+			stale = []string{s.store.WALPath(name)}
+		}
+	}
+	for _, path := range stale {
+		if err := s.store.FS().Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return err
+		}
+	}
+	return nil
+}
+
+func closeWALs(wals []*persist.WAL) {
+	for _, w := range wals {
+		if w != nil {
+			w.Close() //nolint:errcheck
+		}
+	}
+}
+
+// degrade marks the entry's persistence as sick: inserts are acknowledged
+// durable:false and skip the logs until a forced snapshot heals it.
+func (s *Server) degrade(name string, e *entry, err error) {
+	e.degraded.Store(true)
+	e.forceSnap.Store(true)
+	e.persistErrors.Add(1)
+	s.persistErrors.Add(1)
+	s.logf("polyfit-serve: persistence for %q failed, degrading to snapshot-only durability: %v", name, err)
 }
 
 // snapshotLoop periodically persists dirty dynamic indexes (those with WAL
@@ -383,20 +433,14 @@ func (s *Server) snapshotLoop(interval time.Duration) {
 }
 
 // entryDirty reports whether the entry has acknowledged inserts not yet
-// folded into a snapshot (in its WAL or any shard's WAL), or a forced
-// snapshot pending.
+// folded into a snapshot, or a forced snapshot pending. A static entry is
+// only ever dirty by force.
 func entryDirty(e *entry) bool {
-	if e.wal == nil && len(e.shardWALs) == 0 {
-		return false // static: never dirty
-	}
 	if e.forceSnap.Load() {
 		return true
 	}
-	if e.wal != nil && e.wal.Records() > 0 {
-		return true
-	}
-	for _, wal := range e.shardWALs {
-		if wal != nil && wal.Records() > 0 {
+	for _, wal := range e.wals {
+		if wal.Records() > 0 {
 			return true
 		}
 	}
@@ -430,11 +474,8 @@ func (s *Server) SnapshotAll() error {
 	return s.snapshotDirty()
 }
 
-// snapshotEntry writes one index's snapshot and drops the WAL prefix it
-// covers. The WAL size is read BEFORE marshalling: every record below that
-// offset was applied to the in-memory index before it reached the log, so
-// the snapshot (taken after) is guaranteed to contain it — records that
-// race in later stay in the log and replay idempotently.
+// snapshotEntry writes one registered index's snapshot and drops the log
+// prefix it covers, holding back what a live follower still needs.
 func (s *Server) snapshotEntry(name string, e *entry) error {
 	if s.store == nil {
 		return nil
@@ -451,16 +492,28 @@ func (s *Server) snapshotEntry(name string, e *entry) error {
 	if !current {
 		return nil
 	}
+	return s.snapshotLocked(name, e, true)
+}
+
+// snapshotLocked writes each part's snapshot and drops the log prefix it
+// covers; the caller holds e.snapMu. Each log's size is read BEFORE its
+// part is marshalled: every record below that offset was applied to the
+// in-memory index before it reached the log, so the snapshot (taken
+// after) is guaranteed to contain it — records that race in later stay in
+// the log and replay idempotently. gated holds the truncation back to
+// what live followers have acknowledged; an ungated snapshot empties the
+// covered prefix regardless (followers re-join from the snapshot).
+func (s *Server) snapshotLocked(name string, e *entry, gated bool) error {
 	// Clear the force flag before reading the cut: a failure signalled
 	// after this point re-sets it and the next cycle snapshots again.
 	e.forceSnap.Store(false)
-	// A degraded entry has acknowledged inserts that never reached the WAL
-	// (the log was sick when they arrived). This snapshot covers them —
-	// marshalling happens after they were applied — so on success the WAL
-	// is RESET (rewritten empty, file handle reopened) rather than
-	// prefix-truncated, and the degradation clears: the disk proved itself
-	// writable again. While degraded, inserts skip the log, so no record
-	// can race into the WAL between the cut and the reset.
+	// A degraded entry has acknowledged inserts that never reached its
+	// logs (they were sick when the inserts arrived). This snapshot covers
+	// them — marshalling happens after they were applied — so on success
+	// the logs are RESET (rewritten empty, file handles reopened) rather
+	// than prefix-truncated, and the degradation clears: the disk proved
+	// itself writable again. While degraded, inserts skip the logs, so no
+	// record can race in between the cut and the reset.
 	degraded := e.degraded.Load()
 	persistFail := func(err error) error {
 		e.forceSnap.Store(true)
@@ -468,163 +521,138 @@ func (s *Server) snapshotEntry(name string, e *entry) error {
 		s.persistErrors.Add(1)
 		return err
 	}
-	if e.shd != nil {
-		// Sharded: one snapshot + log-prefix drop per shard, each with its
-		// own cut taken before its shard is marshalled — the same "applied
-		// before logged, marshalled after" argument as below, per shard.
-		for i := 0; i < e.shd.NumShards(); i++ {
-			var cut int64
-			if i < len(e.shardWALs) && e.shardWALs[i] != nil {
-				cut = e.shardWALs[i].Size()
-			}
-			blob, err := e.shd.MarshalShard(i)
-			if err != nil {
-				return persistFail(fmt.Errorf("marshal %q shard %d: %w", name, i, err))
-			}
-			if err := s.store.WriteShardSnapshot(name, i, blob); err != nil {
-				return persistFail(err)
-			}
-			if i < len(e.shardWALs) && e.shardWALs[i] != nil {
-				if degraded {
-					if err := e.shardWALs[i].Reset(); err != nil {
-						return persistFail(fmt.Errorf("reset %q shard %d WAL: %w", name, i, err))
-					}
-				} else if err := s.truncateGated(name, e, i, e.shardWALs[i], cut); err != nil {
-					return persistFail(err)
-				}
-			}
+	for i := 0; i < parts(e); i++ {
+		var cut int64
+		if i < len(e.wals) {
+			cut = e.wals[i].Size()
+		}
+		if err := s.writePart(name, e, i); err != nil {
+			return persistFail(err)
+		}
+		if i >= len(e.wals) {
+			continue
 		}
 		if degraded {
-			e.degraded.Store(false)
-			// The reset logs no longer carry the records this snapshot
-			// absorbed; followers must re-join from it.
-			s.bumpInstance(e)
-			s.logf("polyfit-serve: %q healed: snapshot persisted the non-durable inserts and the WALs were reset", name)
-		}
-		e.snapshots.Add(1)
-		e.lastSnapUnix.Store(time.Now().Unix())
-		s.snapshotsWritten.Add(1)
-		return nil
-	}
-	var cut int64
-	if e.wal != nil {
-		cut = e.wal.Size()
-	}
-	blob, err := e.ix.MarshalBinary()
-	if err != nil {
-		return persistFail(fmt.Errorf("marshal %q: %w", name, err))
-	}
-	if err := s.store.WriteSnapshot(name, blob); err != nil {
-		return persistFail(err)
-	}
-	if e.wal != nil {
-		if degraded {
-			if err := e.wal.Reset(); err != nil {
-				return persistFail(fmt.Errorf("reset %q WAL: %w", name, err))
+			if err := e.wals[i].Reset(); err != nil {
+				return persistFail(fmt.Errorf("reset %q log %d: %w", name, i, err))
 			}
-		} else if err := s.truncateGated(name, e, 0, e.wal, cut); err != nil {
+		} else if err := s.truncateLog(name, e, i, cut, gated); err != nil {
 			return persistFail(err)
 		}
 	}
 	if degraded {
 		e.degraded.Store(false)
-		// The reset log no longer carries the records this snapshot
+		// The reset logs no longer carry the records this snapshot
 		// absorbed; followers must re-join from it.
 		s.bumpInstance(e)
-		s.logf("polyfit-serve: %q healed: snapshot persisted the non-durable inserts and the WAL was reset", name)
+		s.logf("polyfit-serve: %q healed: snapshot persisted the non-durable inserts and the logs were reset", name)
 	}
-	e.snapshots.Add(1)
-	e.lastSnapUnix.Store(time.Now().Unix())
-	s.snapshotsWritten.Add(1)
+	s.noteSnapshot(e)
 	return nil
 }
 
-// persistNew writes the initial durable state for a just-built entry:
-// snapshot, and (for dynamic indexes) an empty WAL. Called with adminMu
-// held, before the entry becomes visible in the registry.
-func (s *Server) persistNew(name string, e *entry) error {
+func (s *Server) noteSnapshot(e *entry) {
+	e.snapshots.Add(1)
+	e.lastSnapUnix.Store(time.Now().Unix())
+	s.snapshotsWritten.Add(1)
+}
+
+// errPersist marks a create or restore that failed on the data dir rather
+// than on the request: the handlers answer it with 500, not 400.
+var errPersist = errors.New("persist")
+
+// persistEntry writes the durable state of e, a just-built entry about to
+// be registered under name, replacing old (nil for a create). The caller
+// holds adminMu and, when old is set, old.snapMu. The sequence, one loop
+// per step over the entry's parts:
+//
+//  1. Fold old's logs into old's own snapshot and empty them, so no log
+//     the new index may adopt still holds the old index's records.
+//  2. Remove log files of the new index that no open handle of old owns
+//     (a skipped-as-corrupt predecessor may have left records in them).
+//  3. Write the new snapshots, then commit: write the shard manifest, or
+//     remove one for a plain index.
+//  4. Close old's logs, remove the files recovery no longer reads, and
+//     open fresh logs for a dynamic entry.
+//
+// A failure in steps 1-3 returns an error wrapping errPersist and leaves
+// old, with every acknowledged insert, live and recoverable; a create's
+// files are removed. After the commit nothing fails: a fresh log that
+// cannot be opened degrades the new entry until a snapshot heals it.
+//
+// Known gap: a sharded restore over a sharded index overwrites the old
+// shard snapshots in place before its manifest, so a failure between the
+// two can leave shards that no longer assemble.
+func (s *Server) persistEntry(name string, e, old *entry) (err error) {
 	if s.store == nil {
 		return nil
 	}
-	if e.shd != nil {
-		// Sharded dynamic: per-shard snapshots first, the manifest last (it
-		// is the commit point recovery keys off), then one WAL per shard. A
-		// crash before the manifest leaves orphan files that the next
-		// create overwrites; the index was never acknowledged.
-		k := e.shd.NumShards()
-		for i := 0; i < k; i++ {
-			blob, err := e.shd.MarshalShard(i)
-			if err != nil {
-				s.store.Remove(name) //nolint:errcheck
-				return err
-			}
-			if err := s.store.WriteShardSnapshot(name, i, blob); err != nil {
-				s.store.Remove(name) //nolint:errcheck
-				return err
-			}
+	defer func() {
+		if err == nil {
+			return
 		}
-		if err := s.store.WriteShardManifest(name, persist.ShardManifest{Shards: k, Bounds: e.shd.Bounds()}); err != nil {
+		if old == nil {
 			s.store.Remove(name) //nolint:errcheck
+		}
+		err = fmt.Errorf("%w %q: %w", errPersist, name, err)
+	}()
+	owned := make(map[string]bool)
+	if old != nil && len(old.wals) > 0 {
+		if err := s.snapshotLocked(name, old, false); err != nil {
 			return err
 		}
-		wals := make([]*persist.WAL, k)
-		for i := range wals {
-			wal, err := s.openFreshWAL(s.store.ShardWALPath(name, i))
-			if err != nil {
-				for _, w := range wals {
-					if w != nil {
-						w.Close() //nolint:errcheck
-					}
-				}
-				s.store.Remove(name) //nolint:errcheck
-				return err
-			}
-			wals[i] = wal
+		for i := range old.wals {
+			owned[s.walPath(name, old, i)] = true
 		}
-		e.shardWALs = wals
-		e.snapshots.Add(1)
-		e.lastSnapUnix.Store(time.Now().Unix())
-		s.snapshotsWritten.Add(1)
-		return nil
-	}
-	blob, err := e.ix.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	if err := s.store.WriteSnapshot(name, blob); err != nil {
-		return err
 	}
 	if e.ins != nil {
-		wal, err := s.openFreshWAL(s.store.WALPath(name))
-		if err != nil {
-			s.store.Remove(name) //nolint:errcheck
+		for i := 0; i < parts(e); i++ {
+			if path := s.walPath(name, e, i); !owned[path] {
+				if err := s.store.FS().Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+					return err
+				}
+			}
+		}
+	}
+	// A write whose rename landed but whose directory fsync failed is
+	// already what recovery reads, so it counts as done; the entry is
+	// degraded below so a forced snapshot syncs the directory again.
+	var unsynced error
+	landed := func(err error) bool {
+		if errors.Is(err, persist.ErrUnsynced) {
+			unsynced = err
+			return true
+		}
+		return err == nil
+	}
+	for i := 0; i < parts(e); i++ {
+		if err := s.writePart(name, e, i); !landed(err) {
 			return err
 		}
-		e.wal = wal
 	}
-	e.snapshots.Add(1)
-	e.lastSnapUnix.Store(time.Now().Unix())
-	s.snapshotsWritten.Add(1)
-	return nil
-}
-
-// openFreshWAL opens a WAL for a brand-new (created or restored) index and
-// purges any records already sitting in the file: they belong to an
-// earlier same-named index (e.g. one whose recovery was skipped as corrupt
-// and whose name was then reused) and replaying them into the new index on
-// the next boot would insert records it never acknowledged.
-func (s *Server) openFreshWAL(path string) (*persist.WAL, error) {
-	wal, stale, _, err := s.store.OpenWAL(path)
-	if err != nil {
-		return nil, err
+	if err := s.commitLayout(name, e, old); !landed(err) {
+		return err
 	}
-	if len(stale) > 0 {
-		if err := wal.TruncateTo(wal.Size()); err != nil {
-			wal.Close() //nolint:errcheck
-			return nil, err
+	if unsynced != nil {
+		s.degrade(name, e, unsynced)
+	}
+	if old != nil {
+		closeWALs(old.wals)
+	}
+	if err := s.removeStale(name, e); err != nil {
+		s.logf("polyfit-serve: %q: removing stale files: %v", name, err)
+	}
+	if e.ins != nil {
+		e.wals = make([]*persist.WAL, parts(e))
+		for i := range e.wals {
+			var werr error
+			if e.wals[i], werr = s.store.OpenFreshWAL(s.walPath(name, e, i)); werr != nil {
+				s.degrade(name, e, werr)
+			}
 		}
 	}
-	return wal, nil
+	s.noteSnapshot(e)
+	return nil
 }
 
 // dropPersisted tears down an entry's durable state. Called with adminMu
@@ -634,14 +662,7 @@ func (s *Server) openFreshWAL(path string) (*persist.WAL, error) {
 func (s *Server) dropPersisted(name string, e *entry) error {
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
-	if e.wal != nil {
-		e.wal.Close() //nolint:errcheck
-	}
-	for _, wal := range e.shardWALs {
-		if wal != nil {
-			wal.Close() //nolint:errcheck
-		}
-	}
+	closeWALs(e.wals)
 	if s.store == nil {
 		return nil
 	}
@@ -669,21 +690,14 @@ func (s *Server) Close() error {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
 		for _, e := range s.indexes {
-			if e.wal != nil {
-				e.wal.Close() //nolint:errcheck
-			}
-			for _, wal := range e.shardWALs {
-				if wal != nil {
-					wal.Close() //nolint:errcheck
-				}
-			}
+			closeWALs(e.wals)
 		}
 	})
 	return err
 }
 
 // RestoreRequest carries a previously marshalled blob (GET /marshal, or
-// Index/DynamicIndex.MarshalBinary) to load under a name.
+// Index.MarshalBinary) to load under a name.
 type RestoreRequest struct {
 	Blob string `json:"blob"` // base64 (std encoding)
 }
@@ -692,7 +706,7 @@ type RestoreRequest struct {
 // blob under the name, replacing any existing index. Dynamic blobs come
 // back dynamic — buffer, options, and fallback included. With a data dir
 // the blob is persisted (and any previous WAL dropped) before the request
-// is acknowledged.
+// is acknowledged; see persistEntry for what a failure leaves behind.
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if s.rejectFollowerWrite(w) {
 		return
@@ -729,7 +743,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		old.snapMu.Lock()
 		defer old.snapMu.Unlock()
 	}
-	if err := s.persistRestore(name, raw, e, old); err != nil {
+	if err := s.persistEntry(name, e, old); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -743,140 +757,6 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		s.cache.purgeEntry(old)
 	}
 	writeJSON(w, http.StatusOK, s.statsOf(name, e))
-}
-
-// persistRestore writes the durable state for a restore, new-state-first so
-// a failure at any point never destroys the previous index: (1) the new
-// durable form is written — the raw blob atomically replacing the plain
-// snapshot, or (for a sharded dynamic restore) per-shard snapshots sealed
-// by the manifest, which is the commit point recovery keys off; (2) the
-// old logs (records of the replaced index) are emptied and closed, and
-// stale files of the other kind are retired — manifest first, so recovery
-// at any crash point sees either the complete old index or the complete
-// new one; (3) fresh WALs are opened for a dynamic replacement. A crash
-// inside the sequence recovers to whichever state's commit point is on
-// disk, replaying any stale WAL records as idempotent duplicate skips.
-func (s *Server) persistRestore(name string, raw []byte, e, old *entry) error {
-	if s.store == nil {
-		return nil
-	}
-	if e.shd != nil {
-		return s.persistRestoreSharded(name, e, old)
-	}
-	if err := s.store.WriteSnapshot(name, raw); err != nil {
-		return err
-	}
-	if err := retireOldLogs(old); err != nil {
-		return err
-	}
-	// Drop sharded remains of a previous same-named index (manifest first:
-	// once it is gone, recovery uses the plain snapshot just written).
-	if err := s.store.RemoveShardFiles(name); err != nil {
-		return err
-	}
-	walPath := s.store.WALPath(name)
-	if e.ins != nil {
-		// openFreshWAL purges anything that slipped into the file between
-		// the truncate and the close above (or was left by an earlier
-		// same-named index): those records belong to the replaced index,
-		// not the restored one.
-		wal, err := s.openFreshWAL(walPath)
-		if err != nil {
-			return err
-		}
-		e.wal = wal
-	} else if err := s.store.FS().Remove(walPath); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	e.snapshots.Add(1)
-	e.lastSnapUnix.Store(time.Now().Unix())
-	s.snapshotsWritten.Add(1)
-	return nil
-}
-
-// persistRestoreSharded is the sharded-dynamic arm of persistRestore. The
-// ordering matters: (1) new shard snapshots; (2) retire every log that
-// could replay stale records — the replaced entry's open handles, every
-// on-disk shard WAL (a skipped-as-corrupt predecessor may have left some
-// behind with no open handle), and the plain WAL; (3) only THEN the
-// manifest, the commit point — so at no crash point can recovery follow
-// the new manifest and find a dead index's records still in a log;
-// (4) cleanup of the other kind's snapshot and stale higher-numbered
-// shards; (5) fresh per-shard WALs.
-func (s *Server) persistRestoreSharded(name string, e, old *entry) error {
-	k := e.shd.NumShards()
-	for i := 0; i < k; i++ {
-		blob, err := e.shd.MarshalShard(i)
-		if err != nil {
-			return err
-		}
-		if err := s.store.WriteShardSnapshot(name, i, blob); err != nil {
-			return err
-		}
-	}
-	if err := retireOldLogs(old); err != nil {
-		return err
-	}
-	if err := s.store.RemoveShardWALFiles(name); err != nil {
-		return err
-	}
-	if err := s.store.FS().Remove(s.store.WALPath(name)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	if err := s.store.WriteShardManifest(name, persist.ShardManifest{Shards: k, Bounds: e.shd.Bounds()}); err != nil {
-		return err
-	}
-	// Recovery now follows the manifest: drop the plain snapshot and any
-	// shard snapshots beyond the new count.
-	if err := s.store.FS().Remove(s.store.SnapshotPath(name)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	if err := s.store.RemoveShardFilesFrom(name, k); err != nil {
-		return err
-	}
-	wals := make([]*persist.WAL, k)
-	for i := range wals {
-		wal, err := s.openFreshWAL(s.store.ShardWALPath(name, i))
-		if err != nil {
-			for _, w := range wals {
-				if w != nil {
-					w.Close() //nolint:errcheck
-				}
-			}
-			return err
-		}
-		wals[i] = wal
-	}
-	e.shardWALs = wals
-	e.snapshots.Add(1)
-	e.lastSnapUnix.Store(time.Now().Unix())
-	s.snapshotsWritten.Add(1)
-	return nil
-}
-
-// retireOldLogs empties and closes the replaced entry's WAL handles (plain
-// and per-shard) so their records can never replay over the restored
-// state.
-func retireOldLogs(old *entry) error {
-	if old == nil {
-		return nil
-	}
-	if old.wal != nil {
-		if err := old.wal.TruncateTo(old.wal.Size()); err != nil {
-			return err
-		}
-		old.wal.Close() //nolint:errcheck
-	}
-	for _, wal := range old.shardWALs {
-		if wal == nil {
-			continue
-		}
-		if err := wal.TruncateTo(wal.Size()); err != nil {
-			return err
-		}
-		wal.Close() //nolint:errcheck
-	}
-	return nil
 }
 
 // ServerStats are the global durability counters exposed at GET /v1/stats.

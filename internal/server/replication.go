@@ -48,26 +48,6 @@ type replState struct {
 	start []int64
 }
 
-// numLogs returns how many WAL streams the entry replicates over (0 for
-// static or non-durable entries — they ship by snapshot only).
-func numLogs(e *entry) int {
-	if len(e.shardWALs) > 0 {
-		return len(e.shardWALs)
-	}
-	if e.wal != nil {
-		return 1
-	}
-	return 0
-}
-
-// walOf returns the entry's log-th WAL. Callers have validated log.
-func walOf(e *entry, log int) *persist.WAL {
-	if len(e.shardWALs) > 0 {
-		return e.shardWALs[log]
-	}
-	return e.wal
-}
-
 // initRepl assigns a fresh incarnation to a just-built entry. Called
 // before the entry is published, so the lock is uncontended — held anyway
 // to keep the guard invariant unconditional.
@@ -75,7 +55,7 @@ func (s *Server) initRepl(e *entry) {
 	e.repl.mu.Lock()
 	defer e.repl.mu.Unlock()
 	e.repl.instance = s.instanceSeq.Add(1)
-	e.repl.start = make([]int64, numLogs(e))
+	e.repl.start = make([]int64, len(e.wals))
 }
 
 // bumpInstance starts a new incarnation: followers streaming the old one
@@ -98,20 +78,22 @@ func (s *Server) replCoords(e *entry) (instance uint64, seqs []int64) {
 	defer e.repl.mu.Unlock()
 	seqs = make([]int64, len(e.repl.start))
 	for i := range e.repl.start {
-		seqs[i] = e.repl.start[i] + walOf(e, i).Records()
+		seqs[i] = e.repl.start[i] + e.wals[i].Records()
 	}
 	return e.repl.instance, seqs
 }
 
-// truncateGated drops the WAL prefix below cut — unless a live follower
-// has only acknowledged an earlier sequence, in which case the cut is
-// held back to its watermark so the records it still needs stay
-// streamable. Advances the stream origin to match. Dead followers stop
-// pinning the log once their ack ages past the follower TTL.
-func (s *Server) truncateGated(name string, e *entry, log int, wal *persist.WAL, cut int64) error {
+// truncateLog drops the prefix of the entry's log-th WAL below cut. When
+// gated, a live follower that has only acknowledged an earlier sequence
+// holds the cut back to its watermark so the records it still needs stay
+// streamable; dead followers stop pinning the log once their ack ages
+// past the follower TTL. Ungated, a lagging follower's cursor falls below
+// the stream origin and it re-joins from a snapshot. Advances the stream
+// origin to match.
+func (s *Server) truncateLog(name string, e *entry, log int, cut int64, gated bool) error {
 	e.repl.mu.Lock()
 	defer e.repl.mu.Unlock()
-	if floor, ok := s.acks.floor(name, e.repl.instance, log, s.followerTTL); ok {
+	if floor, ok := s.acks.floor(name, e.repl.instance, log, s.followerTTL); ok && gated {
 		off := persist.WALHeaderSize + (floor-e.repl.start[log])*persist.WALRecordSize
 		if off < persist.WALHeaderSize {
 			off = persist.WALHeaderSize
@@ -123,7 +105,7 @@ func (s *Server) truncateGated(name string, e *entry, log int, wal *persist.WAL,
 	if cut <= persist.WALHeaderSize {
 		return nil
 	}
-	if err := wal.TruncateTo(cut); err != nil {
+	if err := e.wals[log].TruncateTo(cut); err != nil {
 		return err
 	}
 	e.repl.start[log] += (cut - persist.WALHeaderSize) / persist.WALRecordSize
@@ -345,7 +327,7 @@ func (s *Server) handleClusterTail(w http.ResponseWriter, r *http.Request) {
 			wait = maxTailWait
 		}
 	}
-	nlogs := numLogs(e)
+	nlogs := len(e.wals)
 	if nlogs == 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("index %q has no replication streams (static or non-durable)", name))
 		return
@@ -398,7 +380,7 @@ func (s *Server) readTail(e *entry, epoch int64, instance uint64, from []int64) 
 	}
 	t := &cluster.Tail{Epoch: s.epoch, Instance: instance}
 	for log := range from {
-		wal := walOf(e, log)
+		wal := e.wals[log]
 		start := e.repl.start[log]
 		end := start + wal.Records()
 		if from[log] < start || from[log] > end {

@@ -415,7 +415,7 @@ func TestTruncationGatedOnSlowFollower(t *testing.T) {
 	s.mu.RLock()
 	e := s.indexes["dyn"]
 	s.mu.RUnlock()
-	if e == nil || e.wal == nil {
+	if e == nil || len(e.wals) != 1 {
 		t.Fatal("no WAL entry")
 	}
 	instance, _ := s.replCoords(e)
@@ -426,7 +426,7 @@ func TestTruncationGatedOnSlowFollower(t *testing.T) {
 	if err := s.snapshotEntry("dyn", e); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.wal.Records(); got != 40 {
+	if got := e.wals[0].Records(); got != 40 {
 		t.Fatalf("WAL holds %d records after gated snapshot, want 40 (50 minus ack 10)", got)
 	}
 
@@ -435,7 +435,7 @@ func TestTruncationGatedOnSlowFollower(t *testing.T) {
 	if err := s.snapshotEntry("dyn", e); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.wal.Records(); got != 0 {
+	if got := e.wals[0].Records(); got != 0 {
 		t.Fatalf("WAL holds %d records after acked snapshot, want 0", got)
 	}
 

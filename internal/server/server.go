@@ -85,10 +85,10 @@ type entry struct {
 	shd polyfit.ShardSnapshotter
 
 	// Durable state (nil/zero for in-memory servers and static indexes).
-	// Plain dynamic indexes log to wal; sharded dynamic indexes log each
-	// insert to its owning shard's WAL in shardWALs.
-	wal          *persist.WAL // acknowledged-insert log, dynamic only
-	shardWALs    []*persist.WAL
+	// wals are the acknowledged-insert logs of a dynamic index: one for a
+	// plain index, one per shard for a sharded one; an insert goes to
+	// wals[shardOf(e, key)].
+	wals         []*persist.WAL
 	snapMu       sync.Mutex   // serialises snapshot+truncate pairs and file teardown
 	snapshots    atomic.Int64 // snapshots written for this index
 	lastSnapUnix atomic.Int64
@@ -429,7 +429,9 @@ var ErrExists = errors.New("server: index already exists")
 // Create builds an index from req and registers it under req.Name. It is
 // the programmatic equivalent of POST /v1/indexes (used by preloaders and
 // embedders). On a durable server the initial snapshot (and, for dynamic
-// indexes, the WAL) is on disk before Create returns.
+// indexes, the WAL) is on disk before Create returns. A snapshot that
+// cannot be written fails the create (500 over HTTP) and leaves no files;
+// a WAL that cannot be opened leaves the index degraded instead.
 func (s *Server) Create(req CreateRequest) (StatsResponse, error) {
 	if req.Name == "" {
 		return StatsResponse{}, errors.New("name is required")
@@ -456,8 +458,8 @@ func (s *Server) Create(req CreateRequest) (StatsResponse, error) {
 	if exists {
 		return StatsResponse{}, fmt.Errorf("%w: %q", ErrExists, req.Name)
 	}
-	if err := s.persistNew(req.Name, e); err != nil {
-		return StatsResponse{}, fmt.Errorf("persist %q: %w", req.Name, err)
+	if err := s.persistEntry(req.Name, e, nil); err != nil {
+		return StatsResponse{}, err
 	}
 	s.initRepl(e)
 	s.mu.Lock()
@@ -477,8 +479,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	st, err := s.Create(req)
 	if err != nil {
 		status := http.StatusBadRequest
-		if errors.Is(err, ErrExists) {
+		switch {
+		case errors.Is(err, ErrExists):
 			status = http.StatusConflict
+		case errors.Is(err, errPersist):
+			status = http.StatusInternalServerError
 		}
 		writeError(w, status, err)
 		return
@@ -497,7 +502,7 @@ func buildEntry(req CreateRequest) (*entry, error) {
 			return nil, err
 		}
 		if req.Dynamic && e.ins == nil {
-			return nil, errors.New("dynamic=true but the blob is a static index (dynamic blobs come from DynamicIndex.MarshalBinary)")
+			return nil, errors.New("dynamic=true but the blob is a static index (dynamic blobs come from an index built with WithDynamic)")
 		}
 		return e, nil
 	}
@@ -793,10 +798,9 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	degraded := e.degraded.Load()
 	insert := e.ins.Insert
 	resp := InsertResponse{}
-	var accepted []persist.Record          // plain dynamic: one log
-	var acceptedByShard [][]persist.Record // sharded: one log per owning shard
-	if len(e.shardWALs) > 0 {
-		acceptedByShard = make([][]persist.Record, len(e.shardWALs))
+	var accepted [][]persist.Record // per log, on durable servers
+	if len(e.wals) > 0 {
+		accepted = make([][]persist.Record, len(e.wals))
 	}
 	for _, rec := range req.Records {
 		if err := insert(rec.Key, rec.Measure); err != nil {
@@ -807,12 +811,9 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		resp.Inserted++
-		switch {
-		case acceptedByShard != nil:
-			sh := e.shd.ShardOf(rec.Key)
-			acceptedByShard[sh] = append(acceptedByShard[sh], persist.Record{Key: rec.Key, Measure: rec.Measure})
-		case e.wal != nil:
-			accepted = append(accepted, persist.Record{Key: rec.Key, Measure: rec.Measure})
+		if accepted != nil {
+			i := shardOf(e, rec.Key)
+			accepted[i] = append(accepted[i], persist.Record{Key: rec.Key, Measure: rec.Measure})
 		}
 	}
 	// Durability barrier: acknowledged inserts must be fsynced in the WAL
@@ -823,33 +824,17 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	// remaining path to disk (a retried insert would be rejected as
 	// duplicate) — and later inserts skip the sick log until a successful
 	// snapshot heals it. The insert path never blocks on a bad disk.
-	walFailed := func(err error) {
-		degraded = true
-		e.degraded.Store(true)
-		e.forceSnap.Store(true)
-		e.persistErrors.Add(1)
-		s.persistErrors.Add(1)
-		s.logf("polyfit-serve: WAL append for %q failed, degrading to snapshot-only durability: %v", name, err)
-	}
 	logged := int64(0)
-	if !degraded && len(accepted) > 0 {
-		if err := e.wal.Append(accepted); err != nil {
-			walFailed(err)
-		} else {
-			logged += int64(len(accepted))
+	for i, recs := range accepted {
+		if degraded || len(recs) == 0 {
+			continue
 		}
-	}
-	if !degraded {
-		for sh, recs := range acceptedByShard {
-			if len(recs) == 0 {
-				continue
-			}
-			if err := e.shardWALs[sh].Append(recs); err != nil {
-				walFailed(fmt.Errorf("shard %d: %w", sh, err))
-				break
-			}
-			logged += int64(len(recs))
+		if err := e.wals[i].Append(recs); err != nil {
+			degraded = true
+			s.degrade(name, e, fmt.Errorf("WAL append to log %d: %w", i, err))
+			continue
 		}
+		logged += int64(len(recs))
 	}
 	if degraded {
 		// Re-arm the forced snapshot on every degraded insert: a snapshot
@@ -963,9 +948,9 @@ func (s *Server) statsOf(name string, e *entry) StatsResponse {
 				KeyLo:      ss.KeyLo,
 				KeyHi:      ss.KeyHi,
 			}
-			if i < len(e.shardWALs) && e.shardWALs[i] != nil {
-				row.WALRecords = e.shardWALs[i].Records()
-				row.WALBytes = e.shardWALs[i].Size()
+			if i < len(e.wals) {
+				row.WALRecords = e.wals[i].Records()
+				row.WALBytes = e.wals[i].Size()
 			}
 			out.ShardStats = append(out.ShardStats, row)
 		}
@@ -983,15 +968,9 @@ func (s *Server) statsOf(name string, e *entry) StatsResponse {
 		out.PersistDegraded = e.degraded.Load()
 		out.PersistErrors = e.persistErrors.Load()
 		out.NonDurableInserts = e.nonDurable.Load()
-		if e.wal != nil {
-			out.WALRecords = e.wal.Records()
-			out.WALBytes = e.wal.Size()
-		}
-		for _, wal := range e.shardWALs {
-			if wal != nil {
-				out.WALRecords += wal.Records()
-				out.WALBytes += wal.Size()
-			}
+		for _, wal := range e.wals {
+			out.WALRecords += wal.Records()
+			out.WALBytes += wal.Size()
 		}
 	}
 	return out

@@ -8,12 +8,28 @@ import (
 	"repro/internal/data"
 )
 
+// build is New for tests: a build error fails the test.
+func build(t testing.TB, spec Spec, opts ...Option) Index {
+	t.Helper()
+	ix, err := New(spec, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// query answers Range{lo, hi} through the Index interface.
+func query(ix Index, lo, hi float64) (value float64, found bool, err error) {
+	res, err := ix.Query(Range{Lo: lo, Hi: hi})
+	return res.Value, res.Found, err
+}
+
 func TestOptionsValidation(t *testing.T) {
 	keys := data.GenTweet(500, 1)
-	if _, err := NewCountIndex(keys, Options{}); err != ErrBadOptions {
+	if _, err := New(Spec{Agg: Count, Keys: keys}); err != ErrBadOptions {
 		t.Errorf("zero options should yield ErrBadOptions, got %v", err)
 	}
-	if _, err := NewCountIndex(nil, Options{EpsAbs: 10}); err == nil {
+	if _, err := New(Spec{Agg: Count}, WithMaxError(10)); err == nil {
 		t.Error("empty keys should error")
 	}
 }
@@ -21,10 +37,7 @@ func TestOptionsValidation(t *testing.T) {
 func TestCountIndexEndToEnd(t *testing.T) {
 	keys := data.GenTweet(5000, 2)
 	const eps = 50.0
-	ix, err := NewCountIndex(keys, Options{EpsAbs: eps})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := build(t, Spec{Agg: Count, Keys: keys}, WithMaxError(eps))
 	st := ix.Stats()
 	if st.Aggregate != Count || st.Records != 5000 || st.Segments < 1 {
 		t.Fatalf("bad stats: %+v", st)
@@ -34,7 +47,7 @@ func TestCountIndexEndToEnd(t *testing.T) {
 	}
 	qs := data.RangeQueriesFromKeys(keys, 400, 3)
 	for _, q := range qs {
-		got, found, err := ix.Query(q.L, q.U)
+		got, found, err := query(ix, q.L, q.U)
 		if err != nil || !found {
 			t.Fatalf("Query error: %v found=%v", err, found)
 		}
@@ -52,13 +65,10 @@ func TestCountIndexEndToEnd(t *testing.T) {
 
 func TestSumIndexEndToEnd(t *testing.T) {
 	keys, measures := data.GenHKI(4000, 4)
-	ix, err := NewSumIndex(keys, measures, Options{EpsAbs: 1e5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := build(t, Spec{Agg: Sum, Keys: keys, Measures: measures}, WithMaxError(1e5))
 	qs := data.RangeQueriesFromKeys(keys, 200, 5)
 	for _, q := range qs {
-		got, _, err := ix.Query(q.L, q.U)
+		got, _, err := query(ix, q.L, q.U)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,21 +86,15 @@ func TestSumIndexEndToEnd(t *testing.T) {
 
 func TestMaxMinIndexEndToEnd(t *testing.T) {
 	keys, measures := data.GenHKI(4000, 6)
-	mx, err := NewMaxIndex(keys, measures, Options{EpsAbs: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mn, err := NewMinIndex(keys, measures, Options{EpsAbs: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mx := build(t, Spec{Agg: Max, Keys: keys, Measures: measures}, WithMaxError(100))
+	mn := build(t, Spec{Agg: Min, Keys: keys, Measures: measures}, WithMaxError(100))
 	qs := data.RangeQueriesFromKeys(keys, 200, 7)
 	for _, q := range qs {
-		gotMax, foundMax, err := mx.Query(q.L, q.U)
+		gotMax, foundMax, err := query(mx, q.L, q.U)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotMin, foundMin, err := mn.Query(q.L, q.U)
+		gotMin, foundMin, err := query(mn, q.L, q.U)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,14 +126,11 @@ func TestQueryRelCertified(t *testing.T) {
 	// δ=5 keeps the Lemma 3 gate 2δ(1+1/εrel) = 1010 well below the dataset
 	// cardinality so wide queries exercise the approximate path.
 	keys := data.GenTweet(6000, 8)
-	ix, err := NewCountIndex(keys, Options{Delta: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := build(t, Spec{Agg: Count, Keys: keys}, WithDelta(5))
 	qs := data.RangeQueriesFromKeys(keys, 300, 9)
 	approx := 0
 	for _, q := range qs {
-		res, err := ix.QueryRel(q.L, q.U, 0.01)
+		res, err := ix.QueryRel(Range{Lo: q.L, Hi: q.U}, 0.01)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,36 +158,30 @@ func TestQueryRelCertified(t *testing.T) {
 
 func TestDisableFallback(t *testing.T) {
 	keys := data.GenTweet(1000, 10)
-	ix, err := NewCountIndex(keys, Options{EpsAbs: 20, DisableFallback: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := build(t, Spec{Agg: Count, Keys: keys}, WithMaxError(20), WithFallback(false))
 	if ix.Stats().FallbackBytes != 0 {
 		t.Error("fallback bytes should be 0")
 	}
-	if _, err := ix.QueryRel(keys[0], keys[1], 1e-12); err != ErrNoFallback {
+	if _, err := ix.QueryRel(Range{Lo: keys[0], Hi: keys[1]}, 1e-12); err != ErrNoFallback {
 		t.Errorf("want ErrNoFallback, got %v", err)
 	}
 }
 
 func TestIndexRoundTrip(t *testing.T) {
 	keys := data.GenTweet(3000, 11)
-	orig, err := NewCountIndex(keys, Options{EpsAbs: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
+	orig := build(t, Spec{Agg: Count, Keys: keys}, WithMaxError(40))
 	blob, err := orig.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var loaded StaticIndex
-	if err := loaded.UnmarshalBinary(blob); err != nil {
+	loaded, err := Open(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
 	qs := data.RangeQueriesFromKeys(keys, 100, 12)
 	for _, q := range qs {
-		a, _, _ := orig.Query(q.L, q.U)
-		b, _, err := loaded.Query(q.L, q.U)
+		a, _, _ := query(orig, q.L, q.U)
+		b, _, err := query(loaded, q.L, q.U)
 		if err != nil || a != b {
 			t.Fatalf("round-trip divergence: %g vs %g (%v)", a, b, err)
 		}
@@ -284,10 +279,7 @@ func TestIndex2DOptionsValidation(t *testing.T) {
 func TestCompressionHeadline(t *testing.T) {
 	// The headline claim: the index is far smaller than the data.
 	keys := data.GenTweet(50000, 16)
-	ix, err := NewCountIndex(keys, Options{EpsAbs: 100, DisableFallback: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := build(t, Spec{Agg: Count, Keys: keys}, WithMaxError(100), WithFallback(false))
 	st := ix.Stats()
 	raw := 8 * len(keys)
 	if st.IndexBytes*10 > raw {
@@ -298,15 +290,12 @@ func TestCompressionHeadline(t *testing.T) {
 
 func BenchmarkPublicQueryCount(b *testing.B) {
 	keys := data.GenTweet(100000, 1)
-	ix, err := NewCountIndex(keys, Options{EpsAbs: 100})
-	if err != nil {
-		b.Fatal(err)
-	}
+	ix := build(b, Spec{Agg: Count, Keys: keys}, WithMaxError(100))
 	qs := data.RangeQueriesFromKeys(keys, 1024, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := qs[i&1023]
-		ix.Query(q.L, q.U) //nolint:errcheck
+		ix.Query(Range{Lo: q.L, Hi: q.U}) //nolint:errcheck
 	}
 }
 

@@ -27,24 +27,36 @@ func shardedDataset(n int, seed int64) (keys, measures []float64) {
 	return keys, measures
 }
 
-// TestShardedIndexPublic exercises the exported sharded surface: build,
-// bound-reporting queries, batch, round trip, stats.
+// query answers Range{lo, hi} and returns the value alone.
+func query(ix polyfit.Index, lo, hi float64) float64 {
+	res, _ := ix.Query(polyfit.Range{Lo: lo, Hi: hi})
+	return res.Value
+}
+
+// TestShardedIndexPublic exercises the sharded layout through the public
+// surface: build, bound-reporting queries, round trip, stats.
 func TestShardedIndexPublic(t *testing.T) {
 	keys, measures := shardedDataset(2000, 1)
-	ix, err := polyfit.NewSharded(polyfit.Sum, keys, measures, polyfit.ShardOptions{
-		Options: polyfit.Options{EpsAbs: 40}, Shards: 4,
-	})
+	ix, err := polyfit.New(polyfit.Spec{Agg: polyfit.Sum, Keys: keys, Measures: measures},
+		polyfit.WithMaxError(40), polyfit.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.NumShards() != 4 {
-		t.Fatalf("NumShards = %d", ix.NumShards())
+	sh, ok := ix.(polyfit.Sharder)
+	if !ok {
+		t.Fatalf("WithShards index %T is not a Sharder", ix)
+	}
+	if _, ok := ix.(polyfit.Inserter); ok {
+		t.Fatal("static sharded index claims Inserter")
+	}
+	if sh.NumShards() != 4 {
+		t.Fatalf("NumShards = %d", sh.NumShards())
 	}
 	st := ix.Stats()
 	if st.Shards != 4 || st.Records != len(keys) || st.KeyLo != keys[0] || st.KeyHi != keys[len(keys)-1] {
 		t.Fatalf("stats %+v", st)
 	}
-	if got := len(ix.ShardStats()); got != 4 {
+	if got := len(sh.ShardStats()); got != 4 {
 		t.Fatalf("ShardStats len %d", got)
 	}
 	exact := func(l, u float64) float64 {
@@ -62,7 +74,7 @@ func TestShardedIndexPublic(t *testing.T) {
 		if i > j {
 			i, j = j, i
 		}
-		res, err := ix.QueryWithBound(keys[i], keys[j])
+		res, err := ix.Query(polyfit.Range{Lo: keys[i], Hi: keys[j]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,19 +93,20 @@ func TestShardedIndexPublic(t *testing.T) {
 	if polyfit.DetectBlob(blob) != polyfit.BlobShardedStatic {
 		t.Fatalf("DetectBlob = %v", polyfit.DetectBlob(blob))
 	}
-	var loaded polyfit.ShardedIndex
-	if err := loaded.UnmarshalBinary(blob); err != nil {
+	loaded, err := polyfit.Open(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
-	a, _, _ := ix.Query(keys[3], keys[len(keys)-3])
-	b, _, _ := loaded.Query(keys[3], keys[len(keys)-3])
+	a := query(ix, keys[3], keys[len(keys)-3])
+	b := query(loaded, keys[3], keys[len(keys)-3])
 	if math.Float64bits(a) != math.Float64bits(b) {
 		t.Fatalf("round-trip drift: %g vs %g", a, b)
 	}
 }
 
-// TestShardedDynamicPublic exercises the insertable sharded surface,
-// including per-shard rebuilds and the dynamic round trip.
+// TestShardedDynamicPublic exercises the insertable sharded layout,
+// including per-shard rebuilds, the dynamic round trip, and reassembly
+// from per-shard blobs.
 func TestShardedDynamicPublic(t *testing.T) {
 	keys, _ := shardedDataset(2400, 3)
 	var base, ins []float64
@@ -104,31 +117,38 @@ func TestShardedDynamicPublic(t *testing.T) {
 			base = append(base, k)
 		}
 	}
-	sd, err := polyfit.NewShardedDynamic(polyfit.Count, base, nil, polyfit.ShardOptions{
-		Options: polyfit.Options{EpsAbs: 30}, Shards: 4,
-	})
+	sd, err := polyfit.New(polyfit.Spec{Agg: polyfit.Count, Keys: base},
+		polyfit.WithMaxError(30), polyfit.WithShards(4), polyfit.WithDynamic())
 	if err != nil {
 		t.Fatal(err)
 	}
+	sdIns, ok := sd.(polyfit.Inserter)
+	if !ok {
+		t.Fatalf("sharded dynamic index %T is not an Inserter", sd)
+	}
+	snap, ok := sd.(polyfit.ShardSnapshotter)
+	if !ok {
+		t.Fatalf("sharded dynamic index %T is not a ShardSnapshotter", sd)
+	}
 	for _, k := range ins {
-		if err := sd.Insert(k, 1); err != nil {
+		if err := sdIns.Insert(k, 1); err != nil {
 			t.Fatalf("insert %g: %v", k, err)
 		}
 	}
-	if sd.Len() != len(keys) {
-		t.Fatalf("Len %d, want %d", sd.Len(), len(keys))
+	if got := sd.Stats().Records; got != len(keys) {
+		t.Fatalf("Records %d, want %d", got, len(keys))
 	}
-	if err := sd.Insert(ins[0], 1); err == nil {
+	if err := sdIns.Insert(ins[0], 1); err == nil {
 		t.Fatal("duplicate accepted")
 	}
-	res, err := sd.QueryWithBound(keys[0]-1, keys[len(keys)-1]+1)
+	res, err := sd.Query(polyfit.Range{Lo: keys[0] - 1, Hi: keys[len(keys)-1] + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.Value-float64(len(keys))) > res.Bound {
 		t.Fatalf("full-span count %g ± %g, want %d", res.Value, res.Bound, len(keys))
 	}
-	if err := sd.RebuildShard(2); err != nil {
+	if err := snap.RebuildShard(2); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := sd.MarshalBinary()
@@ -138,30 +158,31 @@ func TestShardedDynamicPublic(t *testing.T) {
 	if polyfit.DetectBlob(blob) != polyfit.BlobShardedDynamic {
 		t.Fatalf("DetectBlob = %v", polyfit.DetectBlob(blob))
 	}
-	var restored polyfit.ShardedDynamic
-	if err := restored.UnmarshalBinary(blob); err != nil {
+	restored, err := polyfit.Open(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Len() != sd.Len() || restored.BufferLen() != sd.BufferLen() {
-		t.Fatalf("restored len %d/%d, want %d/%d", restored.Len(), restored.BufferLen(), sd.Len(), sd.BufferLen())
+	rs, rsb := restored.Stats(), sd.Stats()
+	if rs.Records != rsb.Records || rs.BufferLen != rsb.BufferLen {
+		t.Fatalf("restored records/buffer %d/%d, want %d/%d", rs.Records, rs.BufferLen, rsb.Records, rsb.BufferLen)
 	}
-	ra, _, _ := sd.Query(base[10], base[1500])
-	rb, _, _ := restored.Query(base[10], base[1500])
+	ra := query(sd, base[10], base[1500])
+	rb := query(restored, base[10], base[1500])
 	if math.Float64bits(ra) != math.Float64bits(rb) {
 		t.Fatalf("restored drift: %g vs %g", ra, rb)
 	}
 	// Per-shard marshal + assembly round trip (the recovery path).
-	blobs := make([][]byte, sd.NumShards())
+	blobs := make([][]byte, snap.NumShards())
 	for i := range blobs {
-		if blobs[i], err = sd.MarshalShard(i); err != nil {
+		if blobs[i], err = snap.MarshalShard(i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	assembled, err := polyfit.AssembleShardedDynamic(sd.Bounds(), blobs)
+	assembled, err := polyfit.Assemble(snap.Bounds(), blobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, _, _ := assembled.Query(base[10], base[1500])
+	rc := query(assembled, base[10], base[1500])
 	if math.Float64bits(ra) != math.Float64bits(rc) {
 		t.Fatalf("assembled drift: %g vs %g", ra, rc)
 	}
